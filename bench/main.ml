@@ -35,6 +35,17 @@ let seed_baseline =
     ("ShufProof verify (n=64)", 1.173e0);
   ]
 
+(* The checkout's short commit id for the JSON records, suffixed "-dirty"
+   when the working tree has uncommitted changes; "none" outside a git
+   checkout. *)
+let git_commit () : string =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "none"
+  | ic ->
+      let id = try String.trim (input_line ic) with End_of_file -> "" in
+      ignore (Unix.close_process_in ic);
+      if id = "" then "none" else id
+
 (* ---- Table 3: cryptographic primitive latencies ---- *)
 
 let bechamel_estimates (tests : Bechamel.Test.t list) : (string * float) list =
@@ -163,7 +174,11 @@ let table3 () =
   print_newline ();
   if !json_mode then begin
     let buf = Buffer.create 2048 in
-    Buffer.add_string buf "{\n  \"schema\": \"atom-bench-crypto/1\",\n  \"group\": \"p256\",\n";
+    Buffer.add_string buf "{\n  \"schema\": \"atom-bench-crypto/2\",\n  \"group\": \"p256\",\n";
+    Buffer.add_string buf
+      (Printf.sprintf "  \"host_cores\": %d,\n  \"ocaml_version\": %S,\n  \"commit\": %S,\n"
+         (Domain.recommended_domain_count ())
+         Sys.ocaml_version (git_commit ()));
     Buffer.add_string buf
       "  \"baseline_source\": \"growth seed, same host and bechamel harness\",\n";
     Buffer.add_string buf "  \"primitives\": [\n";

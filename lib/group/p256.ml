@@ -126,7 +126,9 @@ let jdbl (s : Modarith.S.t) (pt : jp) : unit =
     Modarith.S.sub s ~dst:t pt.x delta;
     Modarith.S.add s ~dst:u pt.x delta;
     Modarith.S.mul s ~dst:alpha t u;
-    Modarith.S.mul s ~dst:alpha three alpha;
+    (* α = 3(x − δ)(x + δ), tripled by two additions *)
+    Modarith.S.add s ~dst:t alpha alpha;
+    Modarith.S.add s ~dst:alpha t alpha;
     (* x3 = α² − 8β *)
     Modarith.S.add s ~dst:t beta beta;
     Modarith.S.add s ~dst:t t t;

@@ -1,9 +1,10 @@
 (* Montgomery modular arithmetic for a fixed odd modulus.
 
    Elements are fixed-width little-endian limb arrays (base 2^26) kept in
-   Montgomery form (x·R mod m with R = 2^(26k)).  Multiplication uses the
-   CIOS (coarsely integrated operand scanning) algorithm; with 26-bit limbs
-   every intermediate product fits comfortably in a 63-bit native int.
+   Montgomery form (x·R mod m with R = 2^(26k)). Multiplication is product
+   scanning (FIPS): each column of a·b + u·m is summed in one native int
+   and carried once, which is exact while k < 512 limbs (see
+   [mont_mul_into]); squaring is the same call with both operands equal.
 
    Memory discipline (the flat-limb refactor): an [el] is a flat unboxed
    buffer of native-int limbs, and every hot kernel is *destination-passing*
@@ -22,15 +23,14 @@ let limb_mask = (1 lsl limb_bits) - 1
 
 type el = int array
 
-(* The mutable working state of a context: CIOS accumulators reused across
-   calls, the arena of k-limb scratch slots, and the MRU window-table
-   cache. Kept per-domain via [Domain.DLS] so one ctx can serve every
-   domain of a pool, and checked out per operation (the [in_use] flag) so
-   systhreads sharing a domain's storage can't interleave mid-
-   multiplication — see [with_tls]. *)
+(* The mutable working state of a context: the Montgomery digit buffer
+   reused across multiplications, the arena of k-limb scratch slots, and
+   the MRU window-table cache. Kept per-domain via [Domain.DLS] so one ctx
+   can serve every domain of a pool, and checked out per operation (the
+   [in_use] flag) so systhreads sharing a domain's storage can't
+   interleave mid-multiplication — see [with_tls]. *)
 type tls = {
-  scratch : int array; (* k+2 CIOS accumulator for mont_mul *)
-  scratch_sqr : int array; (* 2k+1 accumulator for mont_sqr *)
+  u : int array; (* k Montgomery digits of the running mont_mul *)
   mutable slots : int array array; (* arena of k-limb scratch elements *)
   mutable top : int; (* arena stack pointer *)
   mutable pow_cache : (el * el array) list; (* MRU base -> window table *)
@@ -50,8 +50,7 @@ type ctx = {
 
 let fresh_tls (k : int) : tls =
   {
-    scratch = Array.make (k + 2) 0;
-    scratch_sqr = Array.make ((2 * k) + 1) 0;
+    u = Array.make k 0;
     slots = [||];
     top = 0;
     pow_cache = [];
@@ -152,25 +151,31 @@ let cmp_limbs (a : int array) (b : int array) : int =
   done;
   !r
 
-(* a <- a - b (fixed width, assumes a >= b). *)
-let sub_in_place (a : int array) (b : int array) : unit =
+(* dst <- a - b mod 2^(26k), returning the borrow out (0 or -1). The
+   borrow is the arithmetic shift of the limb difference, so the loop has
+   no data-dependent branch. dst may alias a or b. *)
+let sub_limbs (dst : int array) (a : int array) (b : int array) : int =
   let borrow = ref 0 in
-  for i = 0 to Array.length a - 1 do
-    let s = Array.unsafe_get a i - Array.unsafe_get b i - !borrow in
-    if s < 0 then begin
-      Array.unsafe_set a i (s + (1 lsl limb_bits));
-      borrow := 1
-    end
-    else begin
-      Array.unsafe_set a i s;
-      borrow := 0
-    end
-  done
+  for i = 0 to Array.length dst - 1 do
+    let s = Array.unsafe_get a i - Array.unsafe_get b i + !borrow in
+    Array.unsafe_set dst i (s land limb_mask);
+    borrow := s asr limb_bits
+  done;
+  !borrow
+
+(* a <- a - b (fixed width; when a < b the result wraps mod 2^(26k)). *)
+let sub_in_place (a : int array) (b : int array) : unit = ignore (sub_limbs a a b)
+
+(* The deferred-carry bound: a product-scanning column sums at most 2k
+   limb products, each below 2^52, so it fits a 63-bit native int only
+   while 2k·2^52 < 2^62. *)
+let max_limbs = 512
 
 let create (modulus : Nat.t) : ctx =
   if Nat.is_even modulus || Nat.compare modulus (Nat.of_int 3) < 0 then
     invalid_arg "Modarith.create: modulus must be odd and >= 3";
   let k = (Nat.bit_length modulus + limb_bits - 1) / limb_bits in
+  if k >= max_limbs then invalid_arg "Modarith.create: modulus needs 512 or more limbs";
   let m = widen k modulus in
   (* m0inv = -m[0]^{-1} mod 2^26 via Newton iteration. *)
   let m0 = m.(0) in
@@ -217,99 +222,49 @@ let create (modulus : Nat.t) : ctx =
 (* ---- allocation-free kernels ----
 
    Every [_into] kernel writes its result into a caller-provided k-limb
-   destination and allocates nothing: the CIOS accumulator lives in the
-   checked-out [tls], the operands are only read, and the final copy-out
-   happens after every operand read, so [dst] may alias [a] or [b].
-   Inner loops use unsafe accessors — widths are fixed at [ctx.k] by
+   destination and allocates nothing: the Montgomery digits live in the
+   checked-out [tls], and each destination limb is written only after the
+   last read of the operand limbs at its index, so [dst] may alias [a] or
+   [b]. Inner loops use unsafe accessors — widths are fixed at [ctx.k] by
    construction and the kernels are pinned against {!Ref} by property
    tests. *)
 
-(* dst <- a*b*R^{-1} mod m (CIOS). *)
+(* dst <- a*b*R^{-1} mod m, product scanning. Column i of a·b + u·m sums
+   every a_j·b_{i-j} and u_j·m_{i-j} plus the previous column's carry in
+   one native int (at most 2k products below 2^52: below 2^62 since
+   k < [max_limbs]). In the low k columns the digit u_i is chosen to zero
+   the column's low 26 bits; the high k columns are the result limbs.
+   Column i >= k reads only indices > i-k, so writing dst.(i-k) at its end
+   never clobbers an operand limb still to be read. Squaring is this call
+   with a == b: a dedicated symmetric square measured slower. *)
 let mont_mul_into (ctx : ctx) (tl : tls) (dst : el) (a : el) (b : el) : unit =
-  let k = ctx.k and m = ctx.m and m0inv = ctx.m0inv in
-  let t = tl.scratch in
-  Array.fill t 0 (k + 2) 0;
+  let k = ctx.k and m = ctx.m and u = tl.u in
+  let acc = ref 0 in
   for i = 0 to k - 1 do
-    let ai = Array.unsafe_get a i in
-    (* t += ai * b *)
-    let c = ref 0 in
-    for j = 0 to k - 1 do
-      let s = Array.unsafe_get t j + (ai * Array.unsafe_get b j) + !c in
-      Array.unsafe_set t j (s land limb_mask);
-      c := s lsr limb_bits
+    let s = ref (!acc + (Array.unsafe_get a i * Array.unsafe_get b 0)) in
+    for j = 0 to i - 1 do
+      s :=
+        !s
+        + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+        + (Array.unsafe_get u j * Array.unsafe_get m (i - j))
     done;
-    let s = t.(k) + !c in
-    t.(k) <- s land limb_mask;
-    t.(k + 1) <- t.(k + 1) + (s lsr limb_bits);
-    (* reduce one limb *)
-    let mfac = t.(0) * m0inv land limb_mask in
-    let s0 = t.(0) + (mfac * Array.unsafe_get m 0) in
-    let c = ref (s0 lsr limb_bits) in
-    for j = 1 to k - 1 do
-      let s = Array.unsafe_get t j + (mfac * Array.unsafe_get m j) + !c in
-      Array.unsafe_set t (j - 1) (s land limb_mask);
-      c := s lsr limb_bits
-    done;
-    let s = t.(k) + !c in
-    t.(k - 1) <- s land limb_mask;
-    t.(k) <- t.(k + 1) + (s lsr limb_bits);
-    t.(k + 1) <- 0
+    let ui = (!s land limb_mask) * ctx.m0inv land limb_mask in
+    Array.unsafe_set u i ui;
+    acc := (!s + (ui * Array.unsafe_get m 0)) lsr limb_bits
   done;
-  let over = t.(k) <> 0 in
-  Array.blit t 0 dst 0 k;
-  if over || cmp_limbs dst ctx.m >= 0 then sub_in_place dst ctx.m
-
-(* dst <- a*a*R^{-1} mod m. Exploits product symmetry — each cross term
-   a_i·a_j (i<j) is computed once and doubled, so the schoolbook phase
-   does ~k²/2 limb products instead of CIOS's k². The doubling-heavy
-   curve ladder (jdbl is 5 squarings per step) lands here. Bounds: a
-   doubled cross product is < 2^53 and carries stay < 2^28, so every
-   intermediate fits a 62-bit native int. *)
-let mont_sqr_into (ctx : ctx) (tl : tls) (dst : el) (a : el) : unit =
-  let k = ctx.k and m = ctx.m and m0inv = ctx.m0inv in
-  let t = tl.scratch_sqr in
-  Array.fill t 0 ((2 * k) + 1) 0;
-  (* t <- a·a, with symmetry. *)
-  for i = 0 to k - 1 do
-    let ai = Array.unsafe_get a i in
-    let s = t.(2 * i) + (ai * ai) in
-    t.(2 * i) <- s land limb_mask;
-    let c = ref (s lsr limb_bits) in
-    let idx = ref ((2 * i) + 1) in
-    for j = i + 1 to k - 1 do
-      let p = ai * Array.unsafe_get a j in
-      let s = Array.unsafe_get t !idx + p + p + !c in
-      Array.unsafe_set t !idx (s land limb_mask);
-      c := s lsr limb_bits;
-      incr idx
+  for i = k to (2 * k) - 1 do
+    let s = ref !acc in
+    for j = i - k + 1 to k - 1 do
+      s :=
+        !s
+        + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+        + (Array.unsafe_get u j * Array.unsafe_get m (i - j))
     done;
-    while !c <> 0 do
-      let s = t.(!idx) + !c in
-      t.(!idx) <- s land limb_mask;
-      c := s lsr limb_bits;
-      incr idx
-    done
+    Array.unsafe_set dst (i - k) (!s land limb_mask);
+    acc := !s lsr limb_bits
   done;
-  (* Montgomery reduction of the 2k-limb product, one limb at a time. *)
-  for i = 0 to k - 1 do
-    let mfac = t.(i) * m0inv land limb_mask in
-    let c = ref 0 in
-    for j = 0 to k - 1 do
-      let s = Array.unsafe_get t (i + j) + (mfac * Array.unsafe_get m j) + !c in
-      Array.unsafe_set t (i + j) (s land limb_mask);
-      c := s lsr limb_bits
-    done;
-    let idx = ref (i + k) in
-    while !c <> 0 do
-      let s = t.(!idx) + !c in
-      t.(!idx) <- s land limb_mask;
-      c := s lsr limb_bits;
-      incr idx
-    done
-  done;
-  let over = t.(2 * k) <> 0 in
-  Array.blit t k dst 0 k;
-  if over || cmp_limbs dst ctx.m >= 0 then sub_in_place dst ctx.m
+  (* The result is below 2m, so the carry out of the top column is 0 or 1. *)
+  if !acc <> 0 || cmp_limbs dst m >= 0 then sub_in_place dst m
 
 (* dst <- a + b mod m; no scratch needed, dst may alias a or b. *)
 let add_into (ctx : ctx) (dst : el) (a : el) (b : el) : unit =
@@ -322,27 +277,14 @@ let add_into (ctx : ctx) (dst : el) (a : el) (b : el) : unit =
   done;
   if !carry = 1 || cmp_limbs dst ctx.m >= 0 then sub_in_place dst ctx.m
 
-(* dst <- a - b mod m. *)
+(* dst <- a - b mod m; on a borrow out, add the modulus back (the carry
+   out of that addition cancels the borrow). *)
 let sub_into (ctx : ctx) (dst : el) (a : el) (b : el) : unit =
-  let k = ctx.k in
-  let borrow = ref 0 in
-  for i = 0 to k - 1 do
-    let s = Array.unsafe_get a i - Array.unsafe_get b i - !borrow in
-    if s < 0 then begin
-      Array.unsafe_set dst i (s + (1 lsl limb_bits));
-      borrow := 1
-    end
-    else begin
-      Array.unsafe_set dst i s;
-      borrow := 0
-    end
-  done;
-  if !borrow = 1 then begin
-    (* add modulus back *)
+  if sub_limbs dst a b <> 0 then begin
     let carry = ref 0 in
-    for i = 0 to k - 1 do
-      let s = dst.(i) + ctx.m.(i) + !carry in
-      dst.(i) <- s land limb_mask;
+    for i = 0 to ctx.k - 1 do
+      let s = Array.unsafe_get dst i + Array.unsafe_get ctx.m i + !carry in
+      Array.unsafe_set dst i (s land limb_mask);
       carry := s lsr limb_bits
     done
   end
@@ -429,14 +371,7 @@ let sub (ctx : ctx) (a : el) (b : el) : el =
 let neg (ctx : ctx) (a : el) : el = if is_zero a then Array.copy a else sub ctx (zero ctx) a
 let mul (ctx : ctx) (a : el) (b : el) : el = with_tls ctx (fun t -> mont_mul_t ctx t a b)
 
-let sqr (ctx : ctx) (a : el) : el =
-  with_tls ctx (fun t ->
-      let out = Array.make ctx.k 0 in
-      mont_sqr_into ctx t out a;
-      out)
-
-let mont_sqr = sqr
-
+let sqr (ctx : ctx) (a : el) : el = mul ctx a a
 let double ctx a = add ctx a a
 
 (* Small MRU cache of 4-bit window tables, so exponentiations with a
@@ -446,8 +381,9 @@ let double ctx a = add ctx a a
    comparison — at most [pow_cache_cap] k-limb compares, negligible next
    to an exponentiation. One-shot bases cost one table build either way;
    they merely churn the tail of the list. Cached tables are built once
-   and only read afterwards, so the steady-state pow of a warm base
-   allocates nothing beyond its result. *)
+   and only read afterwards, and a hit on the head of the list leaves the
+   list as it is, so the steady-state pow of a warm base allocates nothing
+   beyond its result. *)
 let pow_cache_cap = 8
 
 let pow_table (ctx : ctx) (tl : tls) (base : el) : el array =
@@ -456,19 +392,22 @@ let pow_table (ctx : ctx) (tl : tls) (base : el) : el array =
     | ((b, _) as hit) :: rest when cmp_limbs b base = 0 -> Some (hit, List.rev_append acc rest)
     | entry :: rest -> extract (entry :: acc) rest
   in
-  match extract [] tl.pow_cache with
-  | Some ((_, table) as hit, rest) ->
-      tl.pow_cache <- hit :: rest;
-      table
-  | None ->
-      let table = Array.make 16 (one ctx) in
-      table.(1) <- Array.copy base;
-      for i = 2 to 15 do
-        table.(i) <- mont_mul_t ctx tl table.(i - 1) base
-      done;
-      let cache = (Array.copy base, table) :: tl.pow_cache in
-      tl.pow_cache <- List.filteri (fun i _ -> i < pow_cache_cap) cache;
-      table
+  match tl.pow_cache with
+  | (b, table) :: _ when cmp_limbs b base = 0 -> table
+  | cache -> (
+      match extract [] cache with
+      | Some ((_, table) as hit, rest) ->
+          tl.pow_cache <- hit :: rest;
+          table
+      | None ->
+          let table = Array.make 16 (one ctx) in
+          table.(1) <- Array.copy base;
+          for i = 2 to 15 do
+            table.(i) <- mont_mul_t ctx tl table.(i - 1) base
+          done;
+          let cache = (Array.copy base, table) :: cache in
+          tl.pow_cache <- List.filteri (fun i _ -> i < pow_cache_cap) cache;
+          table)
 
 (* 4-bit window [w] of exponent [e]. *)
 let nibble_of (e : Nat.t) (w : int) : int =
@@ -477,34 +416,46 @@ let nibble_of (e : Nat.t) (w : int) : int =
   lor (if Nat.test_bit e ((4 * w) + 1) then 2 else 0)
   lor if Nat.test_bit e (4 * w) then 1 else 0
 
-(* Fixed 4-bit-window exponentiation into [dst]; the accumulator IS the
-   destination, squared and multiplied in place, so a warm-cache pow
-   allocates nothing. [dst] may alias [base]: the window table is built
-   (from copies) before [dst] is first written. *)
+(* Fixed 4-bit-window exponentiation into [dst] from a window table
+   ([table.(d)] = base^d for every nonzero digit d; zero digits are
+   skipped, so [table.(0)] is never read). The accumulator IS the
+   destination, squared and multiplied in place; [dst] must not be a table
+   entry. *)
+let window_pow (ctx : ctx) (tl : tls) (dst : el) (table : el array) (e : Nat.t) : unit =
+  let windows = (Nat.bit_length e + 3) / 4 in
+  set_one ctx dst;
+  for w = windows - 1 downto 0 do
+    if w <> windows - 1 then
+      for _ = 1 to 4 do
+        mont_mul_into ctx tl dst dst dst
+      done;
+    let nibble = nibble_of e w in
+    if nibble <> 0 then mont_mul_into ctx tl dst dst table.(nibble)
+  done
+
+(* pow through the MRU cache, so a warm-cache pow allocates nothing. [dst]
+   may alias [base]: the table is built (from copies) before [dst] is
+   first written. *)
 let pow_into_t (ctx : ctx) (tl : tls) (dst : el) (base : el) (e : Nat.t) : unit =
-  if Nat.is_zero e then set_one ctx dst
-  else begin
-    let table = pow_table ctx tl base in
-    let bits = Nat.bit_length e in
-    let windows = (bits + 3) / 4 in
-    set_one ctx dst;
-    for w = windows - 1 downto 0 do
-      if w <> windows - 1 then begin
-        mont_sqr_into ctx tl dst dst;
-        mont_sqr_into ctx tl dst dst;
-        mont_sqr_into ctx tl dst dst;
-        mont_sqr_into ctx tl dst dst
-      end;
-      let nibble = nibble_of e w in
-      if nibble <> 0 then mont_mul_into ctx tl dst dst table.(nibble)
-    done
-  end
+  if Nat.is_zero e then set_one ctx dst else window_pow ctx tl dst (pow_table ctx tl base) e
 
 let pow (ctx : ctx) (base : el) (e : Nat.t) : el =
   with_tls ctx (fun t ->
       let out = Array.make ctx.k 0 in
       pow_into_t ctx t out base e;
       out)
+
+(* A one-shot window table for [base] up to digit [max_d]: entries from 2
+   on live in arena slots (valid until the arena is released), entry 1
+   aliases [base], which is only ever read, and entry 0 is never read. *)
+let arena_table (ctx : ctx) (tl : tls) (base : el) (max_d : int) : el array =
+  let t = Array.make (max_d + 1) base in
+  for d = 2 to max_d do
+    let slot = arena_take ctx tl in
+    mont_mul_into ctx tl slot t.(d - 1) base;
+    t.(d) <- slot
+  done;
+  t
 
 (* Straus interleaved multi-scalar multiplication over [lo, hi):
    dst <- Π base_i^{e_i} with one shared run of squarings across all pairs
@@ -535,27 +486,17 @@ let msm_into_t (ctx : ctx) (tl : tls) (dst : el) (pairs : (el * Nat.t) array) (l
         idx.(!j) <- i;
         max_bits := max !max_bits (Nat.bit_length e);
         let max_d = if Nat.bit_length e > 4 then 15 else Nat.to_int_exn e in
-        let t = Array.make (max_d + 1) b in
-        (* t.(0) is never read (zero digits are skipped); t.(1) aliases the
-           caller's base, which is only ever read. *)
-        for d = 2 to max_d do
-          let slot = arena_take ctx tl in
-          mont_mul_into ctx tl slot t.(d - 1) b;
-          t.(d) <- slot
-        done;
-        tables.(!j) <- t;
+        tables.(!j) <- arena_table ctx tl b max_d;
         incr j
       end
     done;
     let windows = (!max_bits + 3) / 4 in
     set_one ctx dst;
     for w = windows - 1 downto 0 do
-      if w <> windows - 1 then begin
-        mont_sqr_into ctx tl dst dst;
-        mont_sqr_into ctx tl dst dst;
-        mont_sqr_into ctx tl dst dst;
-        mont_sqr_into ctx tl dst dst
-      end;
+      if w <> windows - 1 then
+        for _ = 1 to 4 do
+          mont_mul_into ctx tl dst dst dst
+        done;
       for jj = 0 to nl - 1 do
         let e = snd pairs.(idx.(jj)) in
         let nib = nibble_of e w in
@@ -576,12 +517,16 @@ let msm (ctx : ctx) (pairs : (el * Nat.t) array) : el =
   msm_slice ctx pairs ~lo:0 ~hi:(Array.length pairs)
 
 (* Modular inverse via Fermat: only valid when the modulus is prime, which
-   holds for every context in this repo (field primes and group orders). *)
+   holds for every context in this repo (field primes and group orders).
+   The base is one-shot, so its window table goes in the arena rather than
+   the MRU cache, where it would evict long-lived bases. *)
 let inv (ctx : ctx) (a : el) : el =
   if is_zero a then raise Division_by_zero;
   with_tls ctx (fun t ->
       let out = Array.make ctx.k 0 in
-      pow_into_t ctx t out a (Nat.sub ctx.modulus Nat.two);
+      let mark = arena_mark t in
+      window_pow ctx t out (arena_table ctx t a 15) (Nat.sub ctx.modulus Nat.two);
+      arena_release t mark;
       out)
 
 let modulus ctx = ctx.modulus
@@ -601,7 +546,7 @@ module S = struct
   type t = { sctx : ctx; stl : tls }
 
   let mul (s : t) ~(dst : el) (a : el) (b : el) : unit = mont_mul_into s.sctx s.stl dst a b
-  let sqr (s : t) ~(dst : el) (a : el) : unit = mont_sqr_into s.sctx s.stl dst a
+  let sqr (s : t) ~(dst : el) (a : el) : unit = mont_mul_into s.sctx s.stl dst a a
   let add (s : t) ~(dst : el) (a : el) (b : el) : unit = add_into s.sctx dst a b
   let sub (s : t) ~(dst : el) (a : el) (b : el) : unit = sub_into s.sctx dst a b
   let pow (s : t) ~(dst : el) (base : el) (e : Nat.t) : unit = pow_into_t s.sctx s.stl dst base e
@@ -623,7 +568,7 @@ let with_session (ctx : ctx) (f : S.t -> 'a) : 'a =
 
 (* ---- retained reference implementations ----
 
-   Deliberately naive and structurally independent of the CIOS kernels:
+   Deliberately naive and structurally independent of the flat kernels:
    products via [Nat]'s schoolbook multiply, reduction via [Nat]'s binary
    long division, exponentiation by square-and-multiply over those. The
    property suite pins every flat kernel byte-identical to these across

@@ -6,7 +6,7 @@
     (field primes, curve orders, Schnorr subgroup orders) is prime.
 
     A ctx is safe to share across domains and systhreads: the mutable
-    working state (CIOS scratch accumulators, the window-table cache) is
+    working state (the Montgomery digit buffer, the window-table cache) is
     kept per-domain via [Domain.DLS] and checked out per operation, so a
     single group instance can back an {!Atom_exec.Pool} worker set or a
     threaded TCP cluster without per-thread instances. *)
@@ -20,7 +20,12 @@ type el = int array
     below; treat the limbs themselves as opaque. *)
 
 val create : Nat.t -> ctx
-(** @raise Invalid_argument if the modulus is even or < 3. *)
+(** Multiplication is product scanning with deferred carries: a column of
+    up to 2k limb products (each below 2^52) is summed in one native int,
+    which is exact only while k < 512, so the modulus must fit in 511
+    limbs (13,286 bits).
+    @raise Invalid_argument if the modulus is even, < 3, or needs 512 or
+    more limbs. *)
 
 val modulus : ctx -> Nat.t
 
@@ -73,13 +78,9 @@ val sub : ctx -> el -> el -> el
 val neg : ctx -> el -> el
 val mul : ctx -> el -> el -> el
 
-val mont_sqr : ctx -> el -> el
-(** Specialized Montgomery squaring: computes each cross-limb product once
-    and doubles it, roughly halving the schoolbook work of a general
-    multiplication. *)
-
 val sqr : ctx -> el -> el
-(** [sqr ctx a] = [mont_sqr ctx a]. *)
+(** [sqr ctx a] = [mul ctx a a]: squaring runs the general product-scanning
+    multiply, which measured faster than a dedicated symmetric square. *)
 
 val double : ctx -> el -> el
 
@@ -101,7 +102,9 @@ val msm_slice : ctx -> (el * Nat.t) array -> lo:int -> hi:int -> el
     @raise Invalid_argument on an out-of-range slice. *)
 
 val inv : ctx -> el -> el
-(** Inverse via Fermat (prime modulus only).
+(** Inverse via Fermat (prime modulus only). The one-shot window table
+    lives in the per-domain arena, so inversions leave {!pow}'s cache of
+    long-lived bases alone.
     @raise Division_by_zero on zero. *)
 
 (** {1 Flat-buffer / in-place API}
@@ -161,7 +164,7 @@ val with_session : ctx -> (S.t -> 'a) -> 'a
 
     Structurally independent slow paths ([Nat] schoolbook multiply +
     binary long division, square-and-multiply pow) used by property tests
-    to pin the CIOS kernels byte-identical. Not for production use. *)
+    to pin the flat kernels byte-identical. Not for production use. *)
 module Ref : sig
   val mul : ctx -> el -> el -> el
   val sqr : ctx -> el -> el

@@ -142,7 +142,7 @@ let test_modarith_small_modulus () =
 
 (* ---- flat kernels vs retained reference implementations ----
 
-   The CIOS kernels must be byte-identical (same limbs, via Modarith.equal)
+   The flat kernels must be byte-identical (same limbs, via Modarith.equal)
    to Modarith.Ref — the structurally independent Nat-based slow path —
    across random operands on every modulus the three group backends use:
    the P-256 field prime and curve order, and both Schnorr groups' p and q
@@ -245,6 +245,94 @@ let test_session_inplace () =
         Nat.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff" );
       ("small", Nat.of_int 65537);
     ]
+
+(* An element whose raw limbs spell [x] (x < 2^(26k)), bypassing
+   Montgomery entry, so tests can pick extreme limb patterns directly. *)
+let raw_el (m : Nat.t) (x : Nat.t) : Modarith.el =
+  let k = (Nat.bit_length m + Nat.limb_bits - 1) / Nat.limb_bits in
+  Array.init k (fun i -> Nat.mod_small (Nat.shift_right x (Nat.limb_bits * i)) (1 lsl Nat.limb_bits))
+
+(* Edge cases of the product-scanning kernels against the reference: the
+   operands {0, 1, m−1, m−2, R mod m} pairwise, ~1000 random pairs within
+   2^24 of m (so the final conditional subtraction runs), and dst == a == b.
+   "top26" has a full top limb (m > R/2), so results in [R, 2m) occur and
+   the carry out of the top column is exercised as well. *)
+let test_kernel_edge_cases () =
+  let top26 = ("top26", Nat.sub (Nat.shift_left Nat.one 104) (Nat.of_int 3)) in
+  List.iter
+    (fun (name, m) ->
+      let ctx = Modarith.create m in
+      let check label cond = Alcotest.(check bool) (name ^ " " ^ label) true cond in
+      let against label a b =
+        check ("mul " ^ label) (Modarith.equal (Modarith.mul ctx a b) (Modarith.Ref.mul ctx a b));
+        check ("sqr " ^ label) (Modarith.equal (Modarith.sqr ctx a) (Modarith.Ref.sqr ctx a));
+        check ("add " ^ label) (Modarith.equal (Modarith.add ctx a b) (Modarith.Ref.add ctx a b));
+        check ("sub " ^ label) (Modarith.equal (Modarith.sub ctx a b) (Modarith.Ref.sub ctx a b))
+      in
+      let edges =
+        [ Nat.zero; Nat.one; Nat.sub m Nat.one; Nat.sub m Nat.two ]
+        |> List.map (raw_el m)
+        |> List.cons (Modarith.one ctx)
+      in
+      List.iter (fun a -> List.iter (fun b -> against "edge" a b) edges) edges;
+      let rng = Atom_util.Rng.create 0xed9e in
+      let span = if Nat.bit_length m > 25 then Nat.of_int (1 lsl 24) else Nat.shift_right m 1 in
+      let near () = raw_el m (Nat.sub m (Nat.add Nat.one (Nat.random_below rng span))) in
+      for _ = 1 to 1000 do
+        against "near m" (near ()) (near ())
+      done;
+      Modarith.with_session ctx (fun s ->
+          let dst = Modarith.S.take s in
+          List.iter
+            (fun a ->
+              Modarith.copy_into ~dst a;
+              Modarith.S.mul s ~dst dst dst;
+              check "S.mul dst=a=b" (Modarith.equal dst (Modarith.Ref.sqr ctx a));
+              Modarith.copy_into ~dst a;
+              Modarith.S.add s ~dst dst dst;
+              check "S.add dst=a=b" (Modarith.equal dst (Modarith.Ref.add ctx a a));
+              Modarith.copy_into ~dst a;
+              Modarith.S.sub s ~dst dst dst;
+              check "S.sub dst=a=b" (Modarith.is_zero dst))
+            (edges @ [ near (); near () ])))
+    (("small", Nat.of_int 65537) :: top26 :: backend_moduli ())
+
+(* The deferred-carry bound: 511 limbs is the widest context, and there a
+   product of all-ones limbs (the largest column sums) is still exact. *)
+let test_width_guard () =
+  let ones limbs = Nat.sub (Nat.shift_left Nat.one (Nat.limb_bits * limbs)) Nat.one in
+  let m = ones 511 in
+  let ctx = Modarith.create m in
+  let a = raw_el m (Nat.sub m Nat.one) in
+  Alcotest.(check bool) "511 limbs: max-limb mul exact" true
+    (Modarith.equal (Modarith.mul ctx a a) (Modarith.Ref.mul ctx a a));
+  Alcotest.check_raises "512 limbs rejected"
+    (Invalid_argument "Modarith.create: modulus needs 512 or more limbs") (fun () ->
+      ignore (Modarith.create (Nat.add (Nat.shift_left Nat.one ((Nat.limb_bits * 511) + 1)) Nat.one)))
+
+(* Inversion builds its one-shot window table in the arena: a burst of
+   inversions must not evict a warm base from the pow cache, so the warm
+   base's next pow rebuilds no table (a rebuild allocates 15 k-limb
+   arrays; the bound is one). *)
+let test_inv_skips_pow_cache () =
+  let m = Nat.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff" in
+  let ctx = Modarith.create m in
+  let rng = Atom_util.Rng.create 0x1a7 in
+  let fresh () = Modarith.of_nat ctx (Nat.add Nat.one (Nat.random_below rng (Nat.sub m Nat.one))) in
+  let base = fresh () and e = Nat.random_below rng m in
+  ignore (Modarith.pow ctx base e);
+  for _ = 1 to 16 do
+    ignore (Modarith.inv ctx (fresh ()))
+  done;
+  Modarith.with_session ctx (fun s ->
+      let dst = Modarith.S.take s in
+      let m0 = Gc.minor_words () in
+      Modarith.S.pow s ~dst base e;
+      let dm = Gc.minor_words () -. m0 in
+      Alcotest.(check bool) "pow matches reference" true
+        (Modarith.equal dst (Modarith.Ref.pow ctx base e));
+      if dm > float_of_int (Array.length dst + 1) then
+        Alcotest.failf "warm-base pow allocated %.0f minor words after 16 inversions" dm)
 
 (* The tentpole's contract: steady-state Montgomery mul/sqr (and the
    in-place add/sub) allocate zero words. The only allocation in the
@@ -369,6 +457,9 @@ let suite =
       Alcotest.test_case "flat kernels match reference (all backends)" `Quick test_flat_vs_ref;
       Alcotest.test_case "session in-place ops match reference" `Quick test_session_inplace;
       Alcotest.test_case "montgomery kernels allocation-free" `Quick test_kernels_zero_alloc;
+      Alcotest.test_case "kernel edge cases match reference" `Quick test_kernel_edge_cases;
+      Alcotest.test_case "montgomery width guard" `Quick test_width_guard;
+      Alcotest.test_case "inversion skips the pow cache" `Quick test_inv_skips_pow_cache;
       Alcotest.test_case "known primes and composites" `Quick test_prime_known;
       Alcotest.test_case "random prime" `Quick test_random_prime;
       Alcotest.test_case "safe prime" `Quick test_safe_prime;
