@@ -32,6 +32,11 @@ let print_iteration_percentiles (times : float array) =
     Printf.printf "iteration time p50/p90/p99: %.3f / %.3f / %.3f s\n" (p 50.) (p 90.) (p 99.)
   end
 
+let variant_name = function
+  | Config.Basic -> "basic"
+  | Config.Nizk -> "nizk"
+  | Config.Trap -> "trap"
+
 let variant_conv =
   let parse = function
     | "basic" -> Ok Config.Basic
@@ -39,11 +44,25 @@ let variant_conv =
     | "trap" -> Ok Config.Trap
     | s -> Error (`Msg (Printf.sprintf "unknown variant %S (basic|nizk|trap)" s))
   in
-  let print fmt v =
-    Format.pp_print_string fmt
-      (match v with Config.Basic -> "basic" | Config.Nizk -> "nizk" | Config.Trap -> "trap")
-  in
-  Arg.conv (parse, print)
+  Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt (variant_name v))
+
+(* The square-topology config behind `round` and the real-process cluster
+   commands. *)
+let cluster_config ~variant ~servers ~groups ~group_size ~h ~iterations ~msg_bytes ~seed =
+  {
+    Config.variant;
+    n_servers = servers;
+    n_groups = groups;
+    group_size;
+    h;
+    f = 0.2;
+    topology = Config.Square iterations;
+    msg_bytes;
+    seed;
+    mailboxes = 64;
+    dummy_mu = 2.;
+    dummy_b = 1.;
+  }
 
 (* ---- round ---- *)
 
@@ -53,20 +72,7 @@ let run_round variant users servers groups group_size h iterations msg_bytes see
   let module G = (val Atom_group.Registry.zp_test ()) in
   let module Pr = Protocol.Make (G) in
   let config =
-    {
-      Config.variant;
-      n_servers = servers;
-      n_groups = groups;
-      group_size;
-      h;
-      f = 0.2;
-      topology = Config.Square iterations;
-      msg_bytes;
-      seed;
-      mailboxes = 64;
-      dummy_mu = 2.;
-      dummy_b = 1.;
-    }
+    cluster_config ~variant ~servers ~groups ~group_size ~h ~iterations ~msg_bytes ~seed
   in
   Config.validate config;
   let rng = Atom_util.Rng.create seed in
@@ -331,11 +337,6 @@ let trace_cmd =
 
 (* ---- cluster ---- *)
 
-let variant_name = function
-  | Config.Basic -> "basic"
-  | Config.Nizk -> "nizk"
-  | Config.Trap -> "trap"
-
 (* Read an integer kB field (VmHWM, VmRSS) out of /proc/<pid>/status;
    0 when unavailable (non-Linux host, already-dead pid). *)
 let proc_status_kb (pid : int) (field : string) : int =
@@ -457,30 +458,39 @@ type fleet_summary = {
          harness did not send — a failure even when the round matched *)
 }
 
-exception Fleet_failure of string
+(* A fleet of atom_node processes on loopback, up and routable: every node
+   has joined with its listen port and acked the peer list. *)
+type fleet = {
+  fl_name : string; (* stdout prefix, e.g. "cluster[round]" *)
+  fl_t : Atom_rpc.Tcp_transport.t; (* the coordinator's endpoint, id = servers *)
+  fl_pids : int array;
+  fl_ports : (int, int) Hashtbl.t; (* node id -> listen port *)
+  fl_join_times : (int * float) list;
+      (* node → coordinator-clock Join receipt: the clock-alignment offset
+         for that node's lane in the merged trace *)
+  fl_deliberate : (int, unit) Hashtbl.t; (* node ids the harness killed on purpose *)
+  fl_t0 : float; (* wall clock at spawn: the coordinator clock's origin *)
+}
 
-(* Spawn N atom_node processes on loopback, drive a full round over real
-   TCP, and check the published plaintexts against the single-process
-   reference run for the same seed. [chaos] is forwarded to every node's
-   transport wrapper; [kills] schedules SIGKILLs (seconds after the round
-   starts, server ids) from a watcher thread that also samples the
-   children's peak RSS. One call = one epoch; the soak loops this. *)
-let run_fleet_round ~(config : Config.t) ~users ~domains ~node_bin ~timeout ~log_dir ~obs
-    ~(chaos : string) ~(kills : (float * int list) option)
-    ~(node_metrics_dir : string option) ~(label : string) ?(trace = false) () :
-    fleet_summary =
-  let module G = (val Atom_group.Registry.zp_test ()) in
-  let module Node = Atom_rpc.Node.Make (G) (Atom_rpc.Tcp_transport.Check) in
+(* Spawn one atom_node per server on loopback and bring the fleet up:
+   every node joins with its listen port, learns the fleet, and acks —
+   only then does protocol traffic start. The peer list is re-broadcast
+   until everyone acked (nodes re-ack on every copy), so early chaos drops
+   cannot wedge the handshake. [extra_args i] appends the caller's flags
+   for node i; with [log_dir] each child logs verbosely to
+   <label>-node-<i>.log there. A fleet that is not up within [timeout] is
+   killed and reaped: [Error (why, unexpected child failures)]. *)
+let launch_fleet ~(config : Config.t) ~obs ~domains ~node_bin ~timeout ~log_dir ~(name : string)
+    ~(label : string) ~(extra_args : int -> string list) :
+    (fleet, string * (int * string) list) result =
   let module Tcp = Atom_rpc.Tcp_transport in
   let module Ctrl = Atom_wire.Control in
   Config.validate config;
   if log_dir <> None then Atom_obs.Log.set_level (Some Atom_obs.Log.Info);
   let servers = config.Config.n_servers in
-  let seed = config.Config.seed in
-  let coord = servers in
   (* A 2s send budget keeps death detection cheap: a probe to a dead peer
      fails within ~1.75s instead of the default 5s ladder. *)
-  let t = Tcp.create ~obs ~node_id:coord ~send_timeout:2.0 () in
+  let t = Tcp.create ~obs ~node_id:servers ~send_timeout:2.0 () in
   let port = Tcp.port t in
   let node_bin =
     match node_bin with
@@ -494,21 +504,13 @@ let run_fleet_round ~(config : Config.t) ~users ~domains ~node_bin ~timeout ~log
   in
   let t0 = Unix.gettimeofday () in
   let poll = 0.2 in
-  List.iter
-    (fun d ->
-      match d with
-      | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
-      | _ -> ())
-    [ log_dir; node_metrics_dir ];
-  let node_metrics_file i =
-    Option.map
-      (fun dir -> Filename.concat dir (Printf.sprintf "%s-node-%d.metrics" label i))
-      node_metrics_dir
-  in
+  (match log_dir with
+  | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
+  | _ -> ());
   let pids =
     Array.init servers (fun i ->
         let args =
-          [|
+          [
             node_bin; "--node-id"; string_of_int i;
             "--coordinator-port"; string_of_int port;
             "--variant"; variant_name config.Config.variant;
@@ -521,21 +523,16 @@ let run_fleet_round ~(config : Config.t) ~users ~domains ~node_bin ~timeout ~log
             | Config.Square n -> string_of_int n
             | _ -> failwith "cluster runs use the Square topology");
             "--msg-bytes"; string_of_int config.Config.msg_bytes;
-            "--seed"; string_of_int seed;
+            "--seed"; string_of_int config.Config.seed;
             "--domains"; string_of_int domains;
             "--recv-timeout"; Printf.sprintf "%g" poll;
             "--max-idle"; string_of_int (max 1 (int_of_float (timeout /. poll)));
-          |]
-        in
-        let args = if chaos = "" then args else Array.append args [| "--chaos"; chaos |] in
-        let args = if trace then Array.append args [| "--trace" |] else args in
-        let args =
-          match node_metrics_file i with
-          | None -> args
-          | Some path -> Array.append args [| "--metrics-out"; path |]
+          ]
+          @ extra_args i
         in
         match log_dir with
-        | None -> Unix.create_process node_bin args Unix.stdin Unix.stdout Unix.stderr
+        | None ->
+            Unix.create_process node_bin (Array.of_list args) Unix.stdin Unix.stdout Unix.stderr
         | Some dir ->
             let log =
               Unix.openfile
@@ -543,15 +540,163 @@ let run_fleet_round ~(config : Config.t) ~users ~domains ~node_bin ~timeout ~log
                 [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
             in
             let pid =
-              Unix.create_process node_bin (Array.append args [| "--verbose" |]) Unix.stdin log
+              Unix.create_process node_bin (Array.of_list (args @ [ "--verbose" ])) Unix.stdin log
                 log
             in
             Unix.close log;
             pid)
   in
   let deliberate = Hashtbl.create 4 in
-  let reap ~kill = reap_children ~pids ~deliberate ~kill in
-  let peak_child = ref 0 in
+  let deadline = Unix.gettimeofday () +. timeout in
+  let ports = Hashtbl.create servers in
+  (* Clock alignment for the merged trace: a node's trace clock starts at
+     the instant before its Join send, so the coordinator-clock receipt
+     time of that Join (loopback: sub-ms later) is the offset that maps
+     the node's timestamps onto the coordinator's timebase. *)
+  let join_times = Hashtbl.create servers in
+  while Hashtbl.length ports < servers && Unix.gettimeofday () < deadline do
+    match Tcp.recv t ~timeout:0.5 with
+    | Ok (_, frame) -> (
+        match Ctrl.decode frame with
+        | Some (Ctrl.Join { node_id; port }) ->
+            if not (Hashtbl.mem join_times node_id) then
+              Hashtbl.replace join_times node_id (Unix.gettimeofday () -. t0);
+            Hashtbl.replace ports node_id port;
+            Tcp.add_peer t ~node_id ~host:"127.0.0.1" ~port
+        | _ -> ())
+    | Error _ -> ()
+  done;
+  let acked = Hashtbl.create servers in
+  if Hashtbl.length ports = servers then begin
+    let peers = Array.init servers (fun i -> (i, Hashtbl.find ports i)) in
+    let send_peers () =
+      for i = 0 to servers - 1 do
+        ignore (Tcp.send t ~dst:i (Ctrl.encode (Ctrl.Peers { peers })))
+      done
+    in
+    send_peers ();
+    let last_bcast = ref (Unix.gettimeofday ()) in
+    while Hashtbl.length acked < servers && Unix.gettimeofday () < deadline do
+      (match Tcp.recv t ~timeout:0.5 with
+      | Ok (_, frame) -> (
+          match Ctrl.decode frame with
+          | Some (Ctrl.Ack { token }) -> Hashtbl.replace acked token ()
+          | _ -> ())
+      | Error _ -> ());
+      if Hashtbl.length acked < servers && Unix.gettimeofday () -. !last_bcast > 2. then begin
+        last_bcast := Unix.gettimeofday ();
+        send_peers ()
+      end
+    done
+  end;
+  if Hashtbl.length acked = servers then begin
+    Printf.printf "%s: %d node processes on loopback (coordinator port %d) [%.2fs]\n%!" name
+      servers port
+      (Unix.gettimeofday () -. t0);
+    Ok
+      {
+        fl_name = name;
+        fl_t = t;
+        fl_pids = pids;
+        fl_ports = ports;
+        fl_join_times =
+          List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) join_times []);
+        fl_deliberate = deliberate;
+        fl_t0 = t0;
+      }
+  end
+  else begin
+    let why =
+      if Hashtbl.length ports < servers then
+        Printf.sprintf "%d/%d nodes joined before timeout" (Hashtbl.length ports) servers
+      else Printf.sprintf "%d/%d nodes acked the peer list" (Hashtbl.length acked) servers
+    in
+    let child_failures = reap_children ~pids ~deliberate ~kill:true in
+    Tcp.close t;
+    Error (why, child_failures)
+  end
+
+(* Watch a running fleet from a thread: fire the scheduled SIGKILLs
+   ([kills] = seconds after [since], server ids) and track the children's
+   peak RSS (VmHWM). The returned function stops the watcher and yields
+   that peak in kB. *)
+let watch_fleet (fl : fleet) ~(since : float) ~(kills : (float * int list) option) :
+    unit -> int =
+  let stop = Atomic.make false in
+  let peak = ref 0 in
+  let watcher =
+    Thread.create
+      (fun () ->
+        let killed = ref false in
+        while not (Atomic.get stop) do
+          (match kills with
+          | Some (at, victims) when (not !killed) && Unix.gettimeofday () -. since >= at ->
+              killed := true;
+              List.iter
+                (fun sid ->
+                  Printf.printf "%s: killing node %d (pid %d) at %.2fs\n%!" fl.fl_name sid
+                    fl.fl_pids.(sid)
+                    (Unix.gettimeofday () -. since);
+                  Hashtbl.replace fl.fl_deliberate sid ();
+                  try Unix.kill fl.fl_pids.(sid) Sys.sigkill with Unix.Unix_error _ -> ())
+                victims
+          | _ -> ());
+          Array.iter (fun pid -> peak := max !peak (proc_status_kb pid "VmHWM")) fl.fl_pids;
+          Thread.delay 0.05
+        done)
+      ()
+  in
+  fun () ->
+    Atomic.set stop true;
+    Thread.join watcher;
+    !peak
+
+(* The coordinator's crypto pool. --domains 0 (the default): honor
+   ATOM_DOMAINS when set, otherwise use the measured recommendation (host
+   cores capped by the recommended_domains a bench parallel run recorded
+   on matching hardware). The returned release shuts down only a pool
+   created here. *)
+let coord_pool ~(name : string) (domains : int) : Atom_exec.Pool.t option * (unit -> unit) =
+  let own d =
+    let p = Atom_exec.Pool.create ~domains:d () in
+    (Some p, fun () -> Atom_exec.Pool.shutdown p)
+  in
+  if domains > 1 then own domains
+  else if domains = 1 then (None, ignore)
+  else
+    match Sys.getenv_opt "ATOM_DOMAINS" with
+    | Some _ -> (Atom_exec.Pool.default (), ignore)
+    | None ->
+        let d = Atom_exec.Pool.auto_domains () in
+        Printf.printf "%s: coordinator using %d worker domain%s (measured default)\n%!" name d
+          (if d = 1 then "" else "s");
+        if d > 1 then own d else (None, ignore)
+
+(* Spawn N atom_node processes on loopback, drive a full round over real
+   TCP, and check the published plaintexts against the single-process
+   reference run for the same seed. [chaos] is forwarded to every node's
+   transport wrapper; [kills] schedules SIGKILLs (seconds after the round
+   starts, server ids). One call = one epoch; the soak loops this. *)
+let run_fleet_round ~(config : Config.t) ~users ~domains ~node_bin ~timeout ~log_dir ~obs
+    ~(chaos : string) ~(kills : (float * int list) option)
+    ~(node_metrics_dir : string option) ~(label : string) ?(trace = false) () :
+    fleet_summary =
+  let module G = (val Atom_group.Registry.zp_test ()) in
+  let module Node = Atom_rpc.Node.Make (G) (Atom_rpc.Tcp_transport.Check) in
+  let servers = config.Config.n_servers in
+  (match node_metrics_dir with
+  | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
+  | _ -> ());
+  let node_metrics_file i =
+    Option.map
+      (fun dir -> Filename.concat dir (Printf.sprintf "%s-node-%d.metrics" label i))
+      node_metrics_dir
+  in
+  let extra_args i =
+    (if chaos = "" then [] else [ "--chaos"; chaos ])
+    @ (if trace then [ "--trace" ] else [])
+    @ match node_metrics_file i with None -> [] | Some path -> [ "--metrics-out"; path ]
+  in
   let collect_node_counters () =
     let tbl = Hashtbl.create 32 in
     for i = 0 to servers - 1 do
@@ -569,200 +714,88 @@ let run_fleet_round ~(config : Config.t) ~users ~domains ~node_bin ~timeout ~log
     done;
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
   in
-  try
-    (* Bring-up: every node joins with its listen port, learns the fleet,
-       and acks — only then does protocol traffic start. The peer list is
-       re-broadcast until everyone acked (nodes re-ack on every copy), so
-       early chaos drops cannot wedge the handshake. *)
-    let deadline = Unix.gettimeofday () +. timeout in
-    let ports = Hashtbl.create servers in
-    (* Clock alignment for the merged trace: a node's trace clock starts at
-       the instant before its Join send, so the coordinator-clock receipt
-       time of that Join (loopback: sub-ms later) is the offset that maps
-       the node's timestamps onto the coordinator's timebase. *)
-    let join_times = Hashtbl.create servers in
-    while Hashtbl.length ports < servers && Unix.gettimeofday () < deadline do
-      match Tcp.recv t ~timeout:0.5 with
-      | Ok (_, frame) -> (
-          match Ctrl.decode frame with
-          | Some (Ctrl.Join { node_id; port }) ->
-              if not (Hashtbl.mem join_times node_id) then
-                Hashtbl.replace join_times node_id (Unix.gettimeofday () -. t0);
-              Hashtbl.replace ports node_id port;
-              Tcp.add_peer t ~node_id ~host:"127.0.0.1" ~port
-          | _ -> ())
-      | Error _ -> ()
-    done;
-    if Hashtbl.length ports < servers then
-      raise
-        (Fleet_failure
-           (Printf.sprintf "%d/%d nodes joined before timeout" (Hashtbl.length ports) servers));
-    let peers = Array.init servers (fun i -> (i, Hashtbl.find ports i)) in
-    let send_peers () =
-      for i = 0 to servers - 1 do
-        ignore (Tcp.send t ~dst:i (Ctrl.encode (Ctrl.Peers { peers })))
-      done
-    in
-    send_peers ();
-    let acked = Hashtbl.create servers in
-    let last_bcast = ref (Unix.gettimeofday ()) in
-    while Hashtbl.length acked < servers && Unix.gettimeofday () < deadline do
-      (match Tcp.recv t ~timeout:0.5 with
-      | Ok (_, frame) -> (
-          match Ctrl.decode frame with
-          | Some (Ctrl.Ack { token }) -> Hashtbl.replace acked token ()
-          | _ -> ())
-      | Error _ -> ());
-      if Hashtbl.length acked < servers && Unix.gettimeofday () -. !last_bcast > 2. then begin
-        last_bcast := Unix.gettimeofday ();
-        send_peers ()
-      end
-    done;
-    if Hashtbl.length acked < servers then
-      raise
-        (Fleet_failure
-           (Printf.sprintf "%d/%d nodes acked the peer list" (Hashtbl.length acked) servers));
-    Printf.printf "cluster[%s]: %d node processes on loopback (coordinator port %d) [%.2fs]\n%!"
-      label servers port
-      (Unix.gettimeofday () -. t0);
-    (* Watcher: fires the scheduled kills and tracks the children's peak
-       RSS (VmHWM) while the round runs. *)
-    let t_round = Unix.gettimeofday () in
-    let stop_watch = Atomic.make false in
-    let watcher =
-      Thread.create
-        (fun () ->
-          let killed = ref false in
-          while not (Atomic.get stop_watch) do
-            (match kills with
-            | Some (at, victims)
-              when (not !killed) && Unix.gettimeofday () -. t_round >= at ->
-                killed := true;
-                List.iter
-                  (fun sid ->
-                    Printf.printf "cluster[%s]: killing node %d (pid %d) at %.2fs\n%!" label
-                      sid pids.(sid)
-                      (Unix.gettimeofday () -. t_round);
-                    Hashtbl.replace deliberate sid ();
-                    try Unix.kill pids.(sid) Sys.sigkill with Unix.Unix_error _ -> ())
-                  victims
-            | _ -> ());
-            Array.iter
-              (fun pid -> peak_child := max !peak_child (proc_status_kb pid "VmHWM"))
-              pids;
-            Thread.delay 0.05
-          done)
-        ()
-    in
-    (* --domains 0 (the default): honor ATOM_DOMAINS when set, otherwise
-       use the measured recommendation (host cores capped by the
-       recommended_domains a bench parallel run recorded on matching
-       hardware). Only pools this process created are shut down here. *)
-    let pool, own_pool =
-      if domains > 1 then (Some (Atom_exec.Pool.create ~domains ()), true)
-      else if domains = 1 then (None, false)
-      else begin
-        match Sys.getenv_opt "ATOM_DOMAINS" with
-        | Some _ -> (Atom_exec.Pool.default (), false)
-        | None ->
-            let d = Atom_exec.Pool.auto_domains () in
-            Printf.printf "cluster: coordinator using %d worker domain%s (measured default)\n%!"
-              d
-              (if d = 1 then "" else "s");
-            if d > 1 then (Some (Atom_exec.Pool.create ~domains:d ()), true) else (None, false)
-      end
-    in
-    let result =
-      Node.run_coordinator ~obs
-        ~clock:(fun () -> Unix.gettimeofday () -. t0)
-        ~collect_stats:trace ?pool t ~config ~users ~recv_timeout:0.25
-        ~max_idle:(max 1 (int_of_float (timeout /. 0.25)))
-        ()
-    in
-    if own_pool then Option.iter Atom_exec.Pool.shutdown pool;
-    Atomic.set stop_watch true;
-    Thread.join watcher;
-    let child_failures = reap ~kill:false in
-    Tcp.close t;
-    (* Strict decode of the live-collected snapshots; when stats were
-       requested, a live node that never answered is an error too — the
-       schema gate in CI must see every lane. *)
-    let node_snapshots, snapshot_errors =
-      List.fold_left
-        (fun (oks, errs) (sid, json) ->
-          match Atom_obs.Snapshot.of_json json with
-          | Ok s -> ((sid, s) :: oks, errs)
-          | Error e -> (oks, (sid, e) :: errs))
-        ([], []) result.Node.node_snapshots
-    in
-    let snapshot_errors =
-      if not trace then snapshot_errors
-      else
+  let t_launch = Unix.gettimeofday () in
+  match
+    launch_fleet ~config ~obs ~domains ~node_bin ~timeout ~log_dir
+      ~name:(Printf.sprintf "cluster[%s]" label) ~label ~extra_args
+  with
+  | Error (msg, child_failures) ->
+      {
+        fs_matched = false;
+        fs_abort = Some msg;
+        fs_delivered = [];
+        fs_rejected = [];
+        fs_recovery_rounds = 0;
+        fs_failed_nodes = [];
+        fs_exit_dups = 0;
+        fs_wall_s = Unix.gettimeofday () -. t_launch;
+        fs_peak_child_rss_kb = 0;
+        fs_node_counters = collect_node_counters ();
+        fs_recovery_seconds = [];
+        fs_join_times = [];
+        fs_node_snapshots = [];
+        fs_snapshot_errors = [];
+        fs_child_failures = child_failures;
+      }
+  | Ok fl ->
+      let stop_watch = watch_fleet fl ~since:(Unix.gettimeofday ()) ~kills in
+      let pool, release_pool = coord_pool ~name:"cluster" domains in
+      let result =
+        Node.run_coordinator ~obs
+          ~clock:(fun () -> Unix.gettimeofday () -. fl.fl_t0)
+          ~collect_stats:trace ?pool fl.fl_t ~config ~users ~recv_timeout:0.25
+          ~max_idle:(max 1 (int_of_float (timeout /. 0.25)))
+          ()
+      in
+      release_pool ();
+      let peak_child = stop_watch () in
+      let child_failures =
+        reap_children ~pids:fl.fl_pids ~deliberate:fl.fl_deliberate ~kill:false
+      in
+      Atom_rpc.Tcp_transport.close fl.fl_t;
+      (* Strict decode of the live-collected snapshots; when stats were
+         requested, a live node that never answered is an error too — the
+         schema gate in CI must see every lane. *)
+      let node_snapshots, snapshot_errors =
         List.fold_left
-          (fun errs sid ->
-            if
-              List.mem sid result.Node.failed_nodes
-              || List.mem_assoc sid result.Node.node_snapshots
-            then errs
-            else (sid, "no Stats_reply received") :: errs)
-          snapshot_errors
-          (List.init servers Fun.id)
-    in
-    {
-      fs_matched = result.Node.matched;
-      fs_abort = result.Node.cluster_abort;
-      fs_delivered = result.Node.delivered;
-      fs_rejected = result.Node.rejected_submissions;
-      fs_recovery_rounds = result.Node.recovery_rounds;
-      fs_failed_nodes = result.Node.failed_nodes;
-      fs_exit_dups =
-        int_of_float (Atom_obs.Metrics.counter_value (Atom_obs.Ctx.metrics obs) "coord.exit_dups");
-      fs_wall_s = Unix.gettimeofday () -. t0;
-      fs_peak_child_rss_kb = !peak_child;
-      fs_node_counters = collect_node_counters ();
-      fs_recovery_seconds = result.Node.recovery_seconds;
-      fs_join_times =
-        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) join_times []);
-      fs_node_snapshots = List.sort compare node_snapshots;
-      fs_snapshot_errors = List.sort compare snapshot_errors;
-      fs_child_failures = child_failures;
-    }
-  with Fleet_failure msg ->
-    let child_failures = reap ~kill:true in
-    Tcp.close t;
-    {
-      fs_matched = false;
-      fs_abort = Some msg;
-      fs_delivered = [];
-      fs_rejected = [];
-      fs_recovery_rounds = 0;
-      fs_failed_nodes = [];
-      fs_exit_dups = 0;
-      fs_wall_s = Unix.gettimeofday () -. t0;
-      fs_peak_child_rss_kb = !peak_child;
-      fs_node_counters = collect_node_counters ();
-      fs_recovery_seconds = [];
-      fs_join_times = [];
-      fs_node_snapshots = [];
-      fs_snapshot_errors = [];
-      fs_child_failures = child_failures;
-    }
-
-let cluster_config ~variant ~servers ~groups ~group_size ~h ~iterations ~msg_bytes ~seed =
-  {
-    Config.variant;
-    n_servers = servers;
-    n_groups = groups;
-    group_size;
-    h;
-    f = 0.2;
-    topology = Config.Square iterations;
-    msg_bytes;
-    seed;
-    mailboxes = 64;
-    dummy_mu = 2.;
-    dummy_b = 1.;
-  }
+          (fun (oks, errs) (sid, json) ->
+            match Atom_obs.Snapshot.of_json json with
+            | Ok s -> ((sid, s) :: oks, errs)
+            | Error e -> (oks, (sid, e) :: errs))
+          ([], []) result.Node.node_snapshots
+      in
+      let snapshot_errors =
+        if not trace then snapshot_errors
+        else
+          List.fold_left
+            (fun errs sid ->
+              if
+                List.mem sid result.Node.failed_nodes
+                || List.mem_assoc sid result.Node.node_snapshots
+              then errs
+              else (sid, "no Stats_reply received") :: errs)
+            snapshot_errors
+            (List.init servers Fun.id)
+      in
+      {
+        fs_matched = result.Node.matched;
+        fs_abort = result.Node.cluster_abort;
+        fs_delivered = result.Node.delivered;
+        fs_rejected = result.Node.rejected_submissions;
+        fs_recovery_rounds = result.Node.recovery_rounds;
+        fs_failed_nodes = result.Node.failed_nodes;
+        fs_exit_dups =
+          int_of_float
+            (Atom_obs.Metrics.counter_value (Atom_obs.Ctx.metrics obs) "coord.exit_dups");
+        fs_wall_s = Unix.gettimeofday () -. fl.fl_t0;
+        fs_peak_child_rss_kb = peak_child;
+        fs_node_counters = collect_node_counters ();
+        fs_recovery_seconds = result.Node.recovery_seconds;
+        fs_join_times = fl.fl_join_times;
+        fs_node_snapshots = List.sort compare node_snapshots;
+        fs_snapshot_errors = List.sort compare snapshot_errors;
+        fs_child_failures = child_failures;
+      }
 
 (* Per-phase wall-time percentiles across the node lanes (from each
    snapshot's tid-0 phase spans — the event-loop tracker, which tiles the
@@ -1055,19 +1088,6 @@ let plan_epoch ~smoke ~servers ~fail_at ~loss ~corrupt ~(chaos_seed : int) (e : 
     | _ -> clean
   else match e mod 4 with 0 -> clean | 1 -> kill | 2 -> partition | _ -> corrupt_ep
 
-let json_escape (s : string) : string =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let chaos_fault_counters =
   [
     "chaos.drops"; "chaos.delays"; "chaos.dups"; "chaos.corruptions"; "chaos.partition_drops";
@@ -1151,9 +1171,9 @@ let run_soak variant users servers groups group_size h iterations msg_bytes seed
              \"recovery_sweeps\": %d, \"share_recoveries\": %d, \"failed_nodes\": [%s], \
              \"bad_frames\": %d, \"dups_dropped\": %d, \"resends\": %d, \"exit_dups\": %d, \
              \"recovery_seconds\": [%s], \"coord_rss_kb\": %d, \"peak_child_rss_kb\": %d}"
-            e epoch_seed (json_escape plan.ep_descr) r.fs_matched
+            e epoch_seed (Atom_obs.Trace.json_escape plan.ep_descr) r.fs_matched
             (match r.fs_abort with
-            | Some a -> Printf.sprintf "\"%s\"" (json_escape a)
+            | Some a -> Printf.sprintf "\"%s\"" (Atom_obs.Trace.json_escape a)
             | None -> "null")
             r.fs_wall_s
             (List.length r.fs_delivered)
@@ -1303,120 +1323,32 @@ let run_clients variant n_clients per_client arrival misbehave servers groups gr
   let config =
     cluster_config ~variant ~servers ~groups ~group_size ~h ~iterations ~msg_bytes ~seed
   in
-  Config.validate config;
-  if log_dir <> None then Atom_obs.Log.set_level (Some Atom_obs.Log.Info);
   let obs = Atom_obs.Ctx.create () in
-  let coord = servers in
-  let t = Tcp.create ~obs ~node_id:coord ~send_timeout:2.0 () in
-  let port = Tcp.port t in
-  let node_bin =
-    match node_bin with
-    | Some p -> p
-    | None ->
-        let dir = Filename.dirname Sys.executable_name in
-        let exe = Filename.concat dir "atom_node.exe" in
-        if Sys.file_exists exe then exe else Filename.concat dir "atom_node"
-  in
-  let t0 = Unix.gettimeofday () in
-  let poll = 0.2 in
-  (match log_dir with
-  | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
-  | _ -> ());
   (* The [after] guard keeps the bring-up handshake clean; everything past
      it — Submits, acks, step frames, announcements — rides the lossy
      transport and must still satisfy the exactly-once gate. *)
   let chaos = if loss > 0. then Printf.sprintf "after=1.0;drop=%g;seed=%d" loss seed else "" in
-  let pids =
-    Array.init servers (fun i ->
-        let args =
-          [|
-            node_bin; "--node-id"; string_of_int i;
-            "--coordinator-port"; string_of_int port;
-            "--variant"; variant_name config.Config.variant;
-            "--servers"; string_of_int servers;
-            "--groups"; string_of_int groups;
-            "--group-size"; string_of_int group_size;
-            "--honest"; string_of_int h;
-            "--iterations"; string_of_int iterations;
-            "--msg-bytes"; string_of_int msg_bytes;
-            "--seed"; string_of_int seed;
-            "--domains"; string_of_int domains;
-            "--recv-timeout"; Printf.sprintf "%g" poll;
-            "--max-idle"; string_of_int (max 1 (int_of_float (timeout /. poll)));
-            "--ingest";
-            "--ingest-rate"; Printf.sprintf "%g" ingest_rate;
-            "--ingest-burst"; Printf.sprintf "%g" ingest_burst;
-            "--ingest-pow-bits"; string_of_int pow_bits;
-            "--ingest-queue-cap"; string_of_int queue_cap;
-          |]
-        in
-        let args = if chaos = "" then args else Array.append args [| "--chaos"; chaos |] in
-        match log_dir with
-        | None -> Unix.create_process node_bin args Unix.stdin Unix.stdout Unix.stderr
-        | Some dir ->
-            let log =
-              Unix.openfile
-                (Filename.concat dir (Printf.sprintf "clients-node-%d.log" i))
-                [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-            in
-            let pid =
-              Unix.create_process node_bin (Array.append args [| "--verbose" |]) Unix.stdin log
-                log
-            in
-            Unix.close log;
-            pid)
+  let extra_args _ =
+    [
+      "--ingest";
+      "--ingest-rate"; Printf.sprintf "%g" ingest_rate;
+      "--ingest-burst"; Printf.sprintf "%g" ingest_burst;
+      "--ingest-pow-bits"; string_of_int pow_bits;
+      "--ingest-queue-cap"; string_of_int queue_cap;
+    ]
+    @ if chaos = "" then [] else [ "--chaos"; chaos ]
   in
-  let deliberate = Hashtbl.create 4 in
-  let reap ~kill = reap_children ~pids ~deliberate ~kill in
-  let ports = Hashtbl.create servers in
-  (try
-     let deadline = Unix.gettimeofday () +. timeout in
-     while Hashtbl.length ports < servers && Unix.gettimeofday () < deadline do
-       match Tcp.recv t ~timeout:0.5 with
-       | Ok (_, frame) -> (
-           match Ctrl.decode frame with
-           | Some (Ctrl.Join { node_id; port }) ->
-               Hashtbl.replace ports node_id port;
-               Tcp.add_peer t ~node_id ~host:"127.0.0.1" ~port
-           | _ -> ())
-       | Error _ -> ()
-     done;
-     if Hashtbl.length ports < servers then
-       raise
-         (Fleet_failure
-            (Printf.sprintf "%d/%d nodes joined before timeout" (Hashtbl.length ports) servers));
-     let peers = Array.init servers (fun i -> (i, Hashtbl.find ports i)) in
-     let send_peers () =
-       for i = 0 to servers - 1 do
-         ignore (Tcp.send t ~dst:i (Ctrl.encode (Ctrl.Peers { peers })))
-       done
-     in
-     send_peers ();
-     let acked = Hashtbl.create servers in
-     let last_bcast = ref (Unix.gettimeofday ()) in
-     while Hashtbl.length acked < servers && Unix.gettimeofday () < deadline do
-       (match Tcp.recv t ~timeout:0.5 with
-       | Ok (_, frame) -> (
-           match Ctrl.decode frame with
-           | Some (Ctrl.Ack { token }) -> Hashtbl.replace acked token ()
-           | _ -> ())
-       | Error _ -> ());
-       if Hashtbl.length acked < servers && Unix.gettimeofday () -. !last_bcast > 2. then begin
-         last_bcast := Unix.gettimeofday ();
-         send_peers ()
-       end
-     done;
-     if Hashtbl.length acked < servers then
-       raise
-         (Fleet_failure
-            (Printf.sprintf "%d/%d nodes acked the peer list" (Hashtbl.length acked) servers))
-   with Fleet_failure msg ->
-     ignore (reap ~kill:true);
-     Tcp.close t;
-     Printf.printf "clients: fleet bring-up failed: %s\n" msg;
-     exit 1);
-  Printf.printf "clients: %d ingest nodes up (coordinator port %d) [%.2fs]\n%!" servers port
-    (Unix.gettimeofday () -. t0);
+  let fl =
+    match
+      launch_fleet ~config ~obs ~domains ~node_bin ~timeout ~log_dir ~name:"clients"
+        ~label:"clients" ~extra_args
+    with
+    | Ok fl -> fl
+    | Error (msg, _) ->
+        Printf.printf "clients: fleet bring-up failed: %s\n" msg;
+        exit 1
+  in
+  let t0 = fl.fl_t0 in
   (* The same deterministic setup every node derived from --seed: the
      client threads need it to build onions, the harness to know who the
      entry heads are. Read-only from here on, so sharing across threads is
@@ -1437,23 +1369,8 @@ let run_clients variant n_clients per_client arrival misbehave servers groups gr
           None
       | v -> v
   in
-  let stop_watch = Atomic.make false in
-  let watcher =
-    Thread.create
-      (fun () ->
-        let killed = ref false in
-        while not (Atomic.get stop_watch) do
-          (match victim with
-          | Some sid when (not !killed) && Unix.gettimeofday () -. t0 >= kill_at ->
-              killed := true;
-              Hashtbl.replace deliberate sid ();
-              Printf.printf "clients: killing node %d (pid %d) at %.2fs\n%!" sid pids.(sid)
-                (Unix.gettimeofday () -. t0);
-              (try Unix.kill pids.(sid) Sys.sigkill with Unix.Unix_error _ -> ())
-          | _ -> ());
-          Thread.delay 0.05
-        done)
-      ()
+  let stop_watch =
+    watch_fleet fl ~since:t0 ~kills:(Option.map (fun sid -> (kill_at, [ sid ])) victim)
   in
   let active = Atomic.make n_clients in
   let stop_all = Atomic.make false in
@@ -1471,7 +1388,7 @@ let run_clients variant n_clients per_client arrival misbehave servers groups gr
     let gid = j mod groups in
     let head = heads.(gid) in
     let ct = Tcp.create ~node_id:cid ~send_timeout:2.0 () in
-    Tcp.add_peer ct ~node_id:head ~host:"127.0.0.1" ~port:(Hashtbl.find ports head);
+    Tcp.add_peer ct ~node_id:head ~host:"127.0.0.1" ~port:(Hashtbl.find fl.fl_ports head);
     let rng = Atom_util.Rng.create (seed lxor (0x5eed0 + cid)) in
     let on_announce ~epoch ~digest ~signature ~posts =
       st.cs_announces <- st.cs_announces + 1;
@@ -1570,32 +1487,22 @@ let run_clients variant n_clients per_client arrival misbehave servers groups gr
     Tcp.close ct
   in
   let threads = List.init n_clients (fun j -> Thread.create run_client j) in
-  let pool, own_pool =
-    if domains > 1 then (Some (Atom_exec.Pool.create ~domains ()), true)
-    else if domains = 1 then (None, false)
-    else
-      match Sys.getenv_opt "ATOM_DOMAINS" with
-      | Some _ -> (Atom_exec.Pool.default (), false)
-      | None ->
-          let d = Atom_exec.Pool.auto_domains () in
-          if d > 1 then (Some (Atom_exec.Pool.create ~domains:d ()), true) else (None, false)
-  in
+  let pool, release_pool = coord_pool ~name:"clients" domains in
   let outcome =
     Node.run_ingest_coordinator ~obs
       ~clock:(fun () -> Unix.gettimeofday () -. t0)
-      ?pool t ~config ~recv_timeout:0.1
+      ?pool fl.fl_t ~config ~recv_timeout:0.1
       ~max_idle:(max 1 (int_of_float (timeout /. 0.1)))
       ~epoch_s ~min_epochs
       ~keep_collecting:(fun () -> Atomic.get active > 0)
       ()
   in
-  if own_pool then Option.iter Atom_exec.Pool.shutdown pool;
+  release_pool ();
   Atomic.set stop_all true;
   List.iter Thread.join threads;
-  Atomic.set stop_watch true;
-  Thread.join watcher;
-  let child_failures = reap ~kill:false in
-  Tcp.close t;
+  ignore (stop_watch ());
+  let child_failures = reap_children ~pids:fl.fl_pids ~deliberate:fl.fl_deliberate ~kill:false in
+  Tcp.close fl.fl_t;
   let wall = Unix.gettimeofday () -. t0 in
   let epochs = outcome.Node.ing_epochs in
   let posts_of e = Array.to_list e.Node.ep_sealed.Bulletin.posts in
@@ -1725,10 +1632,11 @@ let run_clients variant n_clients per_client arrival misbehave servers groups gr
            (String.concat ", " (List.map string_of_int outcome.Node.ing_failed_nodes))
            (String.concat ", "
               (List.map
-                 (fun (sid, why) -> Printf.sprintf "[%d, \"%s\"]" sid (json_escape why))
+                 (fun (sid, why) ->
+                   Printf.sprintf "[%d, \"%s\"]" sid (Atom_obs.Trace.json_escape why))
                  child_failures))
            (match outcome.Node.ing_abort with
-           | Some a -> Printf.sprintf "\"%s\"" (json_escape a)
+           | Some a -> Printf.sprintf "\"%s\"" (Atom_obs.Trace.json_escape a)
            | None -> "null")
            (if ok then "ok" else "failed"));
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (Buffer.contents b));

@@ -1064,15 +1064,106 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
     recovery_seconds : float list;
         (* per-sweep repair time on the coordinator's clock: sweep start →
            next exit-batch arrival (pipeline resumption), chronological.
-           Empty when no sweep ran or no clock was bound. *)
+           Unclocked runs count receive timeouts instead of seconds. *)
     node_snapshots : (int * string) list;
         (* (node_id, atom-metrics/1 JSON) collected over Stats_request just
            before shutdown; [] unless [collect_stats] was set. *)
   }
 
-  (* Drive a full round over [t]: ship submissions to entry heads, release
-     the barrier, collect and verify exit batches, run the variant endgame,
-     and compare against the in-process reference execution.
+  type epoch_outcome = {
+    ep_epoch : int;
+    ep_sealed : Bulletin.sealed;
+    ep_signature : string;
+    ep_mixed : int; (* onion units mixed through the pipeline this epoch *)
+    ep_latency_s : float; (* barrier (seal broadcast) → signed bulletin *)
+  }
+
+  type ingest_outcome = {
+    ing_epochs : epoch_outcome list; (* ascending epoch order *)
+    ing_abort : string option;
+    ing_recovery_rounds : int;
+    ing_failed_nodes : int list;
+  }
+
+  (* Both entry points open the same way: bind the caller's clock and start
+     the tid-0 phase track in "send", so setup work done before the driver
+     runs (the one-shot reference round) is accounted there. *)
+  let coord_phases ~(obs : Atom_obs.Ctx.t) ?clock () : Trace.Phase.tracker =
+    (match clock with Some c -> Atom_obs.Ctx.bind_clock obs c | None -> ());
+    let tr = Atom_obs.Ctx.tracer obs in
+    Trace.thread_name tr ~tid:0 "event loop";
+    Trace.Phase.start tr ~tid:0 "send"
+
+  (* Stats harvest, while the fleet is still alive (Shutdown would race
+     the replies): ask every presumed-live node for its atom-metrics/1
+     snapshot; chaos can eat a request, so laggards get re-asked. Only
+     the trace-merging launcher pays this cost. *)
+  let harvest_stats (t : T.t) ~(live : int list) ~(recv_timeout : float) : (int * string) list =
+    let req = Ctrl.encode (Ctrl.Stats_request { token = 1 }) in
+    List.iter (fun sid -> ignore (T.send t ~dst:sid req)) live;
+    let got_stats : (int, string) Hashtbl.t = Hashtbl.create 16 in
+    let polls = ref 0 in
+    let empties = ref 0 in
+    let max_polls = max 16 (4 * List.length live) in
+    while Hashtbl.length got_stats < List.length live && !polls < max_polls do
+      incr polls;
+      match T.recv t ~timeout:recv_timeout with
+      | Ok (_src, frame) -> (
+          match Ctrl.decode frame with
+          | Some (Ctrl.Stats_reply { node_id; snapshot; _ }) ->
+              Hashtbl.replace got_stats node_id snapshot
+          | _ -> ())
+      | Error Transport.Closed -> polls := max_polls
+      | Error _ ->
+          incr empties;
+          if !empties mod 4 = 0 then
+            List.iter
+              (fun sid -> if not (Hashtbl.mem got_stats sid) then ignore (T.send t ~dst:sid req))
+              live
+    done;
+    List.filter_map
+      (fun sid -> Option.map (fun s -> (sid, s)) (Hashtbl.find_opt got_stats sid))
+      live
+
+  (* Plaintext posts of a decoded Basic/NIZK exit: message-tagged units,
+     unpadded; everything else (cover traffic) is dropped. *)
+  let message_posts (exits : Pr.exit_unit list) : string list =
+    List.filter_map
+      (fun u ->
+        if u.Pr.tag = Pr.Msg.tag_message then Some (Pr.Msg.unpad_plaintext u.Pr.payload)
+        else None)
+      exits
+
+  type exit_accum = {
+    ea_holdings : Pr.El.vec list array;
+    ea_seen : (int * int, unit) Hashtbl.t; (* (gid, batch_idx) delivered *)
+    ea_sealed_at : float;
+  }
+
+  (* What the driver reports besides the epochs [complete] consumed. *)
+  type drive_outcome = {
+    dr_abort : string option;
+    dr_recoveries : int;
+    dr_failed : int list;
+    dr_recovery_seconds : float list;
+    dr_snapshots : (int * string) list;
+  }
+
+  (* The coordinator's event loop, shared by both entry points: a round is
+     a run of epochs. Bring-up cross-checks every member's group assignment
+     and key, then the [entry] frames (pre-built submissions, if any) go
+     out. Every [epoch_s] the driver broadcasts [Barrier {iter = e}] — the
+     seal for epoch e — so epoch e mixes while epoch e+1 collects; with
+     [epoch_s = 0] the first seal is immediate. Exit batches carry their
+     absolute iteration, which keys them back to an epoch (iter / T); once
+     an epoch holds every exit batch, [complete] turns its holdings into a
+     frame for the whole fleet, or an abort reason.
+
+     Epoch cadence: at least [min_epochs]; after that, one *flush* epoch is
+     sealed once [keep_collecting] turns false — the load generator stops
+     its clients before flipping it, so the flush epoch drains anything
+     admitted after the previous barrier and nothing can land beyond it.
+     [max_epochs] bounds a keep_collecting that never yields.
 
      Failure detection is timeout-driven, per §4.5: [stall_strikes]
      consecutive empty receives trigger a recovery sweep — probe every
@@ -1083,42 +1174,24 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
      server yields no send error; for that case the sweep's retransmission
      alone completes the round once the partition heals. Sweeps are
      bounded by [max_recovery_rounds] and the whole wait by [max_idle]. *)
-  let run_coordinator ?(obs = Atom_obs.Ctx.noop) ?clock ?pool (t : T.t)
-      ~(config : Config.t) ~(users : int) ?(recv_timeout = 0.5) ?(max_idle = 240)
-      ?(stall_strikes = 8) ?(max_recovery_rounds = 16) ?(collect_stats = false) () :
-      cluster_outcome =
-    (match clock with Some c -> Atom_obs.Ctx.bind_clock obs c | None -> ());
-    let tr = Atom_obs.Ctx.tracer obs in
-    Trace.thread_name tr ~tid:0 "event loop";
-    let cph = Trace.Phase.start tr ~tid:0 "send" in
-    (* Repair times ride on whatever clock the caller bound; unbound (the
-       deterministic sim harness) it reads a constant and yields zeros. *)
-    let mono = match clock with Some c -> c | None -> fun () -> Trace.now tr in
-    let rng = Atom_util.Rng.create config.Config.seed in
-    let net = Pr.setup rng config () in
+  let drive_epochs ~(obs : Atom_obs.Ctx.t) ?clock ?pool ~(cph : Trace.Phase.tracker) (t : T.t)
+      ~(net : Pr.network) ~(recv_timeout : float) ~(max_idle : int) ~(stall_strikes : int)
+      ~(max_recovery_rounds : int) ~(epoch_s : float) ~(min_epochs : int) ~(max_epochs : int)
+      ~(keep_collecting : unit -> bool) ~(entry : (int * string) list) ~(collect_stats : bool)
+      ~(complete :
+         epoch:int -> latency:(unit -> float) -> Pr.El.vec array array -> (string, string) result)
+      : drive_outcome =
+    (* Unclocked callers (the deterministic sim harness) get a synthetic
+       monotonic clock advanced by each empty receive — epoch pacing and
+       repair times then count receive timeouts instead of wall seconds. *)
+    let synth = ref 0. in
+    let mono = match clock with Some c -> c | None -> fun () -> !synth in
+    let config = net.Pr.config in
     let n_groups = config.Config.n_groups in
-    let msgs = List.init users (fun i -> Printf.sprintf "anonymous message #%d" i) in
-    let subs =
-      List.mapi (fun i m -> Pr.submit rng net ~user:i ~entry_gid:(i mod n_groups) m) msgs
-    in
-    (* The reference execution: same seed, same submissions, one process. *)
-    let reference = Pr.run rng net subs in
-    (* Entry accounting mirrors [Pr.run]: the heads verify on their side;
-       the coordinator's own pass supplies reject lists and commitments. *)
-    let seen = Hashtbl.create 256 in
-    let accepted, rejected = List.partition (Pr.verify_submission net seen) subs in
-    let rejected_submissions = List.map (fun s -> s.Pr.user) rejected in
-    let commitments : (int, string list) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun s ->
-        match s.Pr.commitment with
-        | Some c ->
-            Hashtbl.replace commitments s.Pr.entry_gid
-              (c :: Option.value ~default:[] (Hashtbl.find_opt commitments s.Pr.entry_gid))
-        | None -> ())
-      accepted;
-    (* Routed, retained sends: the failure set starts empty and grows as
-       sends error out or stall sweeps find dead servers. *)
+    let n_servers = config.Config.n_servers in
+    let iters = iterations net in
+    let quorum = Config.quorum config in
+    let want = expected_exits net in
     let reg = Atom_obs.Ctx.metrics obs in
     let m_recovery_rounds = Atom_obs.Metrics.counter reg "coord.recovery_rounds" in
     let m_failed_nodes = Atom_obs.Metrics.counter reg "coord.failed_nodes" in
@@ -1126,9 +1199,10 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
     let m_recovery_s =
       Atom_obs.Metrics.histogram reg ~buckets:24 ~lo:0. ~hi:60. "coord.recovery_seconds"
     in
-    let n_servers = config.Config.n_servers in
+    (* Routed, retained sends: the failure set starts empty and grows as
+       sends error out or stall sweeps find dead servers. *)
     let failed = Array.make n_servers false in
-    let outbox = Outbox.create ~cap:64 () in
+    let outbox = Outbox.create ~cap:128 () in
     let newly_failed = ref [] in
     let mark sid =
       if sid >= 0 && sid < n_servers && not failed.(sid) then begin
@@ -1150,26 +1224,25 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
       Outbox.note outbox ~dst frame;
       send_raw ~dst frame
     in
-    (* Consistency cross-checks + submissions + barrier. *)
+    let broadcast frame =
+      for sid = 0 to n_servers - 1 do
+        send_c ~dst:sid frame
+      done
+    in
+    (* Bring-up: consistency cross-checks, then the entry frames. *)
     for gid = 0 to n_groups - 1 do
       let g = net.Pr.groups.(gid) in
-      let head = g.Pr.members.(0) in
       Array.iter
         (fun sid ->
           send_c ~dst:sid (Ctrl.encode (Ctrl.Group_assign { gid; members = g.Pr.members }));
           send_c ~dst:sid (C.encode (C.Group_key { gid; pk = Pr.group_pk net gid })))
-        g.Pr.members;
-      send_c ~dst:head
-        (Pr.Wire.submissions_to_frame ~gid
-           (List.filter (fun s -> s.Pr.entry_gid = gid) subs))
+        g.Pr.members
     done;
-    for sid = 0 to n_servers - 1 do
-      send_c ~dst:sid (Ctrl.encode (Ctrl.Barrier { iter = 0 }))
-    done;
+    List.iter (fun (dst, frame) -> send_c ~dst frame) entry;
     (* One recovery sweep: probe, publish deaths, retransmit. *)
     let recoveries = ref 0 in
     (* Sweep start times awaiting a resumption mark: each is closed out by
-       the next exit-batch arrival, which is the first proof the pipeline
+       the next admitted exit batch, which is the first proof the pipeline
        is moving again. That delta is the §4.5 repair time the error
        budget histograms. *)
     let pending_sweeps = ref [] in
@@ -1201,390 +1274,95 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
         if not failed.(sid) then ignore (T.send t ~dst:sid (Ctrl.encode Ctrl.Retransmit))
       done
     in
-    (* Collect exit batches. *)
-    let last = iterations net - 1 in
-    let quorum = Config.quorum config in
-    let want = expected_exits net in
-    let holdings = Array.make n_groups [] in
-    let seen_exits = Hashtbl.create 16 in
-    let got = ref 0 in
-    let idle = ref 0 in
-    let strikes = ref 0 in
-    let cluster_abort = ref None in
-    while !got < want && !cluster_abort = None && !idle < max_idle do
-      Trace.Phase.switch cph "recv-wait";
-      match T.recv t ~timeout:recv_timeout with
-      | Error Transport.Closed ->
-          cluster_abort := Some "coordinator transport closed"
-      | Error _ ->
-          incr idle;
-          incr strikes;
-          if !strikes >= stall_strikes && !recoveries < max_recovery_rounds then begin
-            strikes := 0;
-            recovery_sweep ()
-          end
-      | Ok (_src, frame) -> (
-          idle := 0;
-          strikes := 0;
-          match C.decode ?pool ~policy:Atom_wire.Validation.Batched frame with
-          | Some (C.Msg (C.Exit_batch { gid; iter = _; batch_idx; input; output; proofs })) ->
-              if Hashtbl.mem seen_exits (gid, batch_idx) then
-                Atom_obs.Metrics.incr m_exit_dups
-              else begin
-                Trace.Phase.switch cph "verify";
-                if !pending_sweeps <> [] then begin
-                  let now = mono () in
-                  List.iter
-                    (fun t0 ->
-                      let d = now -. t0 in
-                      recovery_seconds := d :: !recovery_seconds;
-                      Atom_obs.Metrics.observe m_recovery_s d)
-                    (List.rev !pending_sweeps);
-                  pending_sweeps := []
-                end;
-                let ok =
-                  config.Config.variant <> Config.Nizk
-                  || verify_hop ?pool ~eff_pk:(eff_pk net gid quorum) ~next_pk:None
-                       ~context:(iter_ctx net gid last) ~input ~output proofs
-                in
-                if ok then begin
-                  Hashtbl.add seen_exits (gid, batch_idx) ();
-                  Array.iter (fun v -> holdings.(gid) <- v :: holdings.(gid)) output;
-                  incr got
-                end
-                else cluster_abort := Some (Printf.sprintf "exit proofs rejected gid=%d" gid)
-              end
-          | Some _ -> ()
-          | None -> (
-              match Ctrl.decode frame with
-              | Some (Ctrl.Abort { detail; _ }) -> cluster_abort := Some detail
-              | Some (Ctrl.Failed { sids }) ->
-                  (* A node saw a peer die before we did: adopt its view
-                     and run a sweep now rather than waiting for a stall. *)
-                  Array.iter mark sids;
-                  if !newly_failed <> [] && !recoveries < max_recovery_rounds then
-                    recovery_sweep ()
-              | _ -> ()))
-    done;
-    if !cluster_abort = None && !got < want then
-      cluster_abort := Some (Printf.sprintf "timed out with %d/%d exit batches" !got want);
-    (* Variant endgame over the assembled holdings, as in [Pr.run]. *)
-    Trace.Phase.switch cph "decrypt";
-    let delivered =
-      if !cluster_abort <> None then []
-      else begin
-        let holdings = Array.map (fun l -> Array.of_list (List.rev l)) holdings in
-        let exits = Pr.decode_exit net holdings in
-        match config.Config.variant with
-        | Config.Basic | Config.Nizk ->
-            List.filter_map
-              (fun u ->
-                if u.Pr.tag = Pr.Msg.tag_message then Some (Pr.Msg.unpad_plaintext u.Pr.payload)
-                else None)
-              exits
-        | Config.Trap -> (
-            match Pr.trap_checks net ~commitments exits with
-            | Some _, _ ->
-                cluster_abort := Some "trap checks failed";
-                []
-            | None, inner_payloads ->
-                List.map Pr.Msg.unpad_plaintext (Pr.open_inners net inner_payloads))
-      end
-    in
-    (* Stats harvest, while the fleet is still alive (Shutdown would race
-       the replies): ask every presumed-live node for its atom-metrics/1
-       snapshot; chaos can eat a request, so laggards get re-asked. Only
-       the trace-merging launcher pays this cost. *)
-    let node_snapshots =
-      if not collect_stats then []
-      else begin
-        Trace.Phase.switch cph "recv-wait";
-        let live = List.filter (fun sid -> not failed.(sid)) (List.init n_servers Fun.id) in
-        let req = Ctrl.encode (Ctrl.Stats_request { token = 1 }) in
-        List.iter (fun sid -> ignore (T.send t ~dst:sid req)) live;
-        let got_stats : (int, string) Hashtbl.t = Hashtbl.create 16 in
-        let polls = ref 0 in
-        let empties = ref 0 in
-        let max_polls = max 16 (4 * n_servers) in
-        while Hashtbl.length got_stats < List.length live && !polls < max_polls do
-          incr polls;
-          match T.recv t ~timeout:recv_timeout with
-          | Ok (_src, frame) -> (
-              match Ctrl.decode frame with
-              | Some (Ctrl.Stats_reply { node_id; snapshot; _ }) ->
-                  Hashtbl.replace got_stats node_id snapshot
-              | _ -> ())
-          | Error Transport.Closed -> polls := max_polls
-          | Error _ ->
-              incr empties;
-              if !empties mod 4 = 0 then
-                List.iter
-                  (fun sid ->
-                    if not (Hashtbl.mem got_stats sid) then ignore (T.send t ~dst:sid req))
-                  live
-        done;
-        List.filter_map
-          (fun sid -> Option.map (fun s -> (sid, s)) (Hashtbl.find_opt got_stats sid))
-          live
-      end
-    in
-    (* Publish and shut the fleet down (best effort — dead peers are
-       skipped rather than paid for: each send to a dead peer would burn
-       the full bounded reconnect budget). *)
-    Trace.Phase.switch cph "send";
-    for sid = 0 to n_servers - 1 do
-      if not failed.(sid) then begin
-        ignore
-          (T.send t ~dst:sid
-             (Ctrl.encode (Ctrl.Published { plaintexts = Array.of_list delivered })));
-        ignore (T.send t ~dst:sid (Ctrl.encode Ctrl.Shutdown))
-      end
-    done;
-    let matched =
-      !cluster_abort = None
-      && reference.Pr.aborted = None
-      && List.sort compare delivered = List.sort compare reference.Pr.delivered
-    in
-    let failed_nodes =
-      List.filter (fun sid -> failed.(sid)) (List.init n_servers Fun.id)
-    in
-    Trace.Phase.stop cph;
-    {
-      delivered;
-      reference = reference.Pr.delivered;
-      matched;
-      cluster_abort = !cluster_abort;
-      rejected_submissions;
-      recovery_rounds = !recoveries;
-      failed_nodes;
-      recovery_seconds = List.rev !recovery_seconds;
-      node_snapshots;
-    }
-
-  (* ---- ingest coordinator: pipelined epochs over client submissions ---- *)
-
-  type epoch_outcome = {
-    ep_epoch : int;
-    ep_sealed : Bulletin.sealed;
-    ep_signature : string;
-    ep_mixed : int; (* onion units mixed through the pipeline this epoch *)
-    ep_latency_s : float; (* barrier (seal broadcast) → signed bulletin *)
-  }
-
-  type ingest_outcome = {
-    ing_epochs : epoch_outcome list; (* ascending epoch order *)
-    ing_abort : string option;
-    ing_recovery_rounds : int;
-    ing_failed_nodes : int list;
-    ing_board : Bulletin.t; (* all sealed epochs, published under round = epoch *)
-  }
-
-  type exit_accum = {
-    ea_holdings : Pr.El.vec list array;
-    ea_seen : (int * int, unit) Hashtbl.t; (* (gid, batch_idx) *)
-    mutable ea_got : int;
-    mutable ea_sealed_at : float;
-  }
-
-  (* Drive pipelined epochs: nodes collect client submissions continuously
-     (they run with [?ingest]); every [epoch_s] this coordinator broadcasts
-     [Barrier {iter = e}] — the seal for epoch e — so epoch e mixes while
-     epoch e+1 collects. Exit batches carry their absolute iteration, which
-     keys them back to an epoch (iter / T); a completed epoch is decoded,
-     canonicalized, signed, published locally and announced to the fleet
-     (entry heads fan the announcement out to their clients).
-
-     Epoch cadence: at least [min_epochs]; after that, one *flush* epoch is
-     sealed once [keep_collecting] turns false — the load generator stops
-     its clients before flipping it, so the flush epoch drains anything
-     admitted after the previous barrier and nothing can land beyond it.
-     [max_epochs] bounds a keep_collecting that never yields.
-
-     Recovery matches [run_coordinator]: stall-triggered §4.5 sweeps
-     (probe, publish deaths, replay retained frames, Retransmit nudge).
-     Trap-variant endgames need per-round trap commitments the submission
-     plane doesn't carry, so only Basic/Nizk are accepted. *)
-  let run_ingest_coordinator ?(obs = Atom_obs.Ctx.noop) ?clock ?pool (t : T.t)
-      ~(config : Config.t) ?(recv_timeout = 0.25) ?(max_idle = 240)
-      ?(stall_strikes = 8) ?(max_recovery_rounds = 32) ~(epoch_s : float)
-      ~(min_epochs : int) ?(max_epochs = 64) ?(keep_collecting = fun () -> false) () :
-      ingest_outcome =
-    if config.Config.variant = Config.Trap then
-      invalid_arg "run_ingest_coordinator: Trap endgame needs per-round commitments";
-    (match clock with Some c -> Atom_obs.Ctx.bind_clock obs c | None -> ());
-    let tr = Atom_obs.Ctx.tracer obs in
-    Trace.thread_name tr ~tid:0 "event loop";
-    let cph = Trace.Phase.start tr ~tid:0 "send" in
-    (* Unclocked callers (the deterministic sim harness) get a synthetic
-       monotonic clock advanced by each empty receive — epoch pacing then
-       counts receive timeouts instead of wall seconds. *)
-    let synth = ref 0. in
-    let mono = match clock with Some c -> c | None -> fun () -> !synth in
-    let tick () = if clock = None then synth := !synth +. recv_timeout in
-    let net = Pr.setup (Atom_util.Rng.create config.Config.seed) config () in
-    let bulletin_sk, _ = bulletin_keypair config in
-    let n_groups = config.Config.n_groups in
-    let n_servers = config.Config.n_servers in
-    let iters = iterations net in
-    let quorum = Config.quorum config in
-    let want = expected_exits net in
-    let reg = Atom_obs.Ctx.metrics obs in
-    let m_recovery_rounds = Atom_obs.Metrics.counter reg "coord.recovery_rounds" in
-    let m_failed_nodes = Atom_obs.Metrics.counter reg "coord.failed_nodes" in
-    let m_exit_dups = Atom_obs.Metrics.counter reg "coord.exit_dups" in
-    let m_epochs = Atom_obs.Metrics.counter reg "coord.epochs_published" in
-    let m_epoch_s =
-      Atom_obs.Metrics.histogram reg ~buckets:24 ~lo:0. ~hi:120. "coord.epoch_seconds"
-    in
-    let failed = Array.make n_servers false in
-    let outbox = Outbox.create ~cap:128 () in
-    let newly_failed = ref [] in
-    let mark sid =
-      if sid >= 0 && sid < n_servers && not failed.(sid) then begin
-        failed.(sid) <- true;
-        Atom_obs.Metrics.incr m_failed_nodes;
-        newly_failed := sid :: !newly_failed;
-        Atom_obs.Log.warn "ingest coordinator: node %d presumed dead" sid
-      end
-    in
-    let rec send_raw ~dst frame =
-      let target = resolve net failed dst in
-      match T.send t ~dst:target frame with
-      | Ok () -> ()
-      | Error _ ->
-          mark target;
-          if resolve net failed dst <> target then send_raw ~dst frame
-    in
-    let send_c ~dst frame =
-      Outbox.note outbox ~dst frame;
-      send_raw ~dst frame
-    in
-    let broadcast frame =
-      for sid = 0 to n_servers - 1 do
-        send_c ~dst:sid frame
-      done
-    in
-    (* Bring-up: consistency cross-checks only — submissions arrive from
-       clients at the nodes, not through us. *)
-    for gid = 0 to n_groups - 1 do
-      let g = net.Pr.groups.(gid) in
-      Array.iter
-        (fun sid ->
-          send_c ~dst:sid (Ctrl.encode (Ctrl.Group_assign { gid; members = g.Pr.members }));
-          send_c ~dst:sid (C.encode (C.Group_key { gid; pk = Pr.group_pk net gid })))
-        g.Pr.members
-    done;
-    let recoveries = ref 0 in
-    let recovery_sweep () =
-      Trace.Phase.switch cph "recovery";
-      incr recoveries;
-      Atom_obs.Metrics.incr m_recovery_rounds;
-      for sid = 0 to n_servers - 1 do
-        if not failed.(sid) then
-          match T.send t ~dst:sid (Ctrl.encode (Ctrl.Ack { token = 0xbeef })) with
-          | Ok () -> ()
-          | Error _ -> mark sid
-      done;
-      if !newly_failed <> [] then begin
-        let sids = Array.of_list !newly_failed in
-        newly_failed := [];
-        for sid = 0 to n_servers - 1 do
-          if not failed.(sid) then
-            ignore (T.send t ~dst:sid (Ctrl.encode (Ctrl.Failed { sids })))
-        done;
-        Array.iter
-          (fun dead -> Outbox.iter_dst outbox ~dst:dead (fun fr -> send_raw ~dst:dead fr))
-          sids
-      end;
-      for sid = 0 to n_servers - 1 do
-        if not failed.(sid) then ignore (T.send t ~dst:sid (Ctrl.encode Ctrl.Retransmit))
-      done
-    in
     (* Epoch bookkeeping. [sealed] = number of barriers broadcast; epochs
-       0..sealed-1 are sealed and owe a published bulletin. *)
-    let board = Bulletin.create () in
+       0..sealed-1 are sealed and owe a completion. An epoch's accumulator
+       lives from its seal to its completion, so [accums] holds exactly the
+       epochs still owed. *)
     let accums : (int, exit_accum) Hashtbl.t = Hashtbl.create 8 in
-    let published : (int, epoch_outcome) Hashtbl.t = Hashtbl.create 8 in
     let sealed = ref 0 in
     let stop_after = ref None in
     let cluster_abort = ref None in
     let t0 = mono () in
     let deadline e = t0 +. (float_of_int (e + 1) *. epoch_s) in
-    let accum epoch =
-      match Hashtbl.find_opt accums epoch with
-      | Some a -> a
-      | None ->
-          let a =
-            {
-              ea_holdings = Array.make n_groups [];
-              ea_seen = Hashtbl.create 16;
-              ea_got = 0;
-              ea_sealed_at = mono ();
-            }
-          in
-          Hashtbl.add accums epoch a;
-          a
-    in
-    let publish_epoch epoch (a : exit_accum) =
-      Trace.Phase.switch cph "decrypt";
-      let holdings = Array.map (fun l -> Array.of_list (List.rev l)) a.ea_holdings in
-      let mixed = Array.fold_left (fun acc h -> acc + Array.length h) 0 holdings in
-      let exits = Pr.decode_exit net holdings in
-      let posts =
-        List.filter_map
-          (fun u ->
-            if u.Pr.tag = Pr.Msg.tag_message then Some (Pr.Msg.unpad_plaintext u.Pr.payload)
-            else None)
-          exits
-      in
-      let sb = Bulletin.seal ~epoch posts in
-      let signature = BSign.sign_sealed ~sk:bulletin_sk sb in
-      Bulletin.publish_sealed board sb;
-      let latency = Float.max 0. (mono () -. a.ea_sealed_at) in
-      Atom_obs.Metrics.incr m_epochs;
-      Atom_obs.Metrics.observe m_epoch_s latency;
-      Atom_obs.Log.info
-        "ingest coordinator: epoch %d published (%d posts, %d units, %.3fs)" epoch
-        (Array.length sb.Bulletin.posts) mixed latency;
-      Hashtbl.remove accums epoch;
-      Hashtbl.replace published epoch
-        {
-          ep_epoch = epoch;
-          ep_sealed = sb;
-          ep_signature = signature;
-          ep_mixed = mixed;
-          ep_latency_s = latency;
-        };
-      Trace.Phase.switch cph "send";
-      broadcast
-        (Ctrl.encode
-           (Ctrl.Bulletin_announce
-              { epoch; digest = sb.Bulletin.digest; signature; posts = sb.Bulletin.posts }))
-    in
     let done_collecting () =
       match !stop_after with Some e -> !sealed > e | None -> false
     in
-    let all_published () = done_collecting () && Hashtbl.length published >= !sealed in
+    let all_completed () = done_collecting () && Hashtbl.length accums = 0 in
+    (* Seal the collecting epoch: its accumulator starts the latency clock,
+       the barrier starts its mixing, and collection rolls over to the next
+       epoch on every entry head. *)
+    let seal now =
+      Trace.Phase.switch cph "send";
+      let e = !sealed in
+      Hashtbl.replace accums e
+        { ea_holdings = Array.make n_groups []; ea_seen = Hashtbl.create 16; ea_sealed_at = now };
+      broadcast (Ctrl.encode (Ctrl.Barrier { iter = e }));
+      sealed := e + 1;
+      if !stop_after = None then
+        if e + 1 >= max_epochs then stop_after := Some e
+        else if e + 1 >= min_epochs && not (keep_collecting ()) then stop_after := Some (e + 1)
+    in
+    (* The one exit-admission rule: a batch counts only if it names a real
+       group, sits on the last layer of a sealed epoch that is still
+       collecting exits, and names a real batch of that group's fan-out it
+       has not delivered yet. Everything else — retransmitted copies and
+       malformed indices alike — is counted as a duplicate and dropped. *)
+    let admit ~gid ~iter ~batch_idx : (int * exit_accum) option =
+      if
+        gid < 0 || gid >= n_groups || iter < 0
+        || (not (last_layer net iter))
+        || iter / iters >= !sealed
+        || batch_idx < 0
+        || batch_idx >= Array.length (neighbors net ~iter ~gid)
+      then None
+      else
+        match Hashtbl.find_opt accums (iter / iters) with
+        | Some a when not (Hashtbl.mem a.ea_seen (gid, batch_idx)) -> Some (iter / iters, a)
+        | _ -> None
+    in
+    let on_exit ~gid ~iter ~batch_idx ~input ~output proofs =
+      match admit ~gid ~iter ~batch_idx with
+      | None -> Atom_obs.Metrics.incr m_exit_dups
+      | Some (epoch, a) ->
+          Trace.Phase.switch cph "verify";
+          if !pending_sweeps <> [] then begin
+            let now = mono () in
+            List.iter
+              (fun t0 ->
+                let d = now -. t0 in
+                recovery_seconds := d :: !recovery_seconds;
+                Atom_obs.Metrics.observe m_recovery_s d)
+              (List.rev !pending_sweeps);
+            pending_sweeps := []
+          end;
+          let ok =
+            config.Config.variant <> Config.Nizk
+            || verify_hop ?pool ~eff_pk:(eff_pk net gid quorum) ~next_pk:None
+                 ~context:(iter_ctx net gid iter) ~input ~output proofs
+          in
+          if not ok then
+            cluster_abort := Some (Printf.sprintf "exit proofs rejected gid=%d epoch=%d" gid epoch)
+          else begin
+            Hashtbl.add a.ea_seen (gid, batch_idx) ();
+            Array.iter (fun v -> a.ea_holdings.(gid) <- v :: a.ea_holdings.(gid)) output;
+            if Hashtbl.length a.ea_seen = want then begin
+              Hashtbl.remove accums epoch;
+              Trace.Phase.switch cph "decrypt";
+              let holdings = Array.map (fun l -> Array.of_list (List.rev l)) a.ea_holdings in
+              let latency () = Float.max 0. (mono () -. a.ea_sealed_at) in
+              match complete ~epoch ~latency holdings with
+              | Ok frame ->
+                  Trace.Phase.switch cph "send";
+                  broadcast frame
+              | Error why -> cluster_abort := Some why
+            end
+          end
+    in
     let idle = ref 0 in
     let strikes = ref 0 in
-    while (not (all_published ())) && !cluster_abort = None && !idle < max_idle do
+    while (not (all_completed ())) && !cluster_abort = None && !idle < max_idle do
       let now = mono () in
-      if (not (done_collecting ())) && now >= deadline !sealed then begin
-        (* Seal the collecting epoch: its accumulator starts the latency
-           clock, the barrier starts its mixing, and collection rolls over
-           to the next epoch on every entry head. *)
-        Trace.Phase.switch cph "send";
-        let e = !sealed in
-        (accum e).ea_sealed_at <- now;
-        broadcast (Ctrl.encode (Ctrl.Barrier { iter = e }));
-        sealed := e + 1;
-        (match !stop_after with
-        | Some _ -> ()
-        | None ->
-            if e + 1 >= max_epochs then stop_after := Some e
-            else if e + 1 >= min_epochs && not (keep_collecting ()) then
-              stop_after := Some (e + 1))
-      end
+      if (not (done_collecting ())) && now >= deadline !sealed then seal now
       else begin
         Trace.Phase.switch cph "recv-wait";
         let tmo =
@@ -1594,7 +1372,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
         match T.recv t ~timeout:tmo with
         | Error Transport.Closed -> cluster_abort := Some "coordinator transport closed"
         | Error _ ->
-            tick ();
+            if clock = None then synth := !synth +. recv_timeout;
             incr idle;
             incr strikes;
             if !strikes >= stall_strikes && !recoveries < max_recovery_rounds then begin
@@ -1606,70 +1384,178 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
             strikes := 0;
             match C.decode ?pool ~policy:Atom_wire.Validation.Batched frame with
             | Some (C.Msg (C.Exit_batch { gid; iter; batch_idx; input; output; proofs })) ->
-                let epoch = if iters > 0 then iter / iters else 0 in
-                if
-                  gid < 0 || gid >= n_groups || iter < 0
-                  || not (last_layer net iter)
-                  || epoch >= !sealed
-                then Atom_obs.Metrics.incr m_exit_dups
-                else begin
-                  let a = accum epoch in
-                  if Hashtbl.mem a.ea_seen (gid, batch_idx) then
-                    Atom_obs.Metrics.incr m_exit_dups
-                  else begin
-                    Trace.Phase.switch cph "verify";
-                    let ok =
-                      config.Config.variant <> Config.Nizk
-                      || verify_hop ?pool ~eff_pk:(eff_pk net gid quorum) ~next_pk:None
-                           ~context:(iter_ctx net gid iter) ~input ~output proofs
-                    in
-                    if ok then begin
-                      Hashtbl.add a.ea_seen (gid, batch_idx) ();
-                      Array.iter
-                        (fun v -> a.ea_holdings.(gid) <- v :: a.ea_holdings.(gid))
-                        output;
-                      a.ea_got <- a.ea_got + 1;
-                      if a.ea_got = want then publish_epoch epoch a
-                    end
-                    else
-                      cluster_abort :=
-                        Some (Printf.sprintf "exit proofs rejected gid=%d epoch=%d" gid epoch)
-                  end
-                end
+                on_exit ~gid ~iter ~batch_idx ~input ~output proofs
             | Some _ -> ()
             | None -> (
                 match Ctrl.decode frame with
                 | Some (Ctrl.Abort { detail; _ }) -> cluster_abort := Some detail
                 | Some (Ctrl.Failed { sids }) ->
+                    (* A node saw a peer die before we did: adopt its view
+                       and run a sweep now rather than waiting for a stall. *)
                     Array.iter mark sids;
                     if !newly_failed <> [] && !recoveries < max_recovery_rounds then
                       recovery_sweep ()
                 | _ -> ()))
       end
     done;
-    if !cluster_abort = None && not (all_published ()) then
+    if !cluster_abort = None && not (all_completed ()) then
       cluster_abort :=
         Some
-          (Printf.sprintf "timed out with %d/%d epochs published" (Hashtbl.length published)
-             !sealed);
+          (Printf.sprintf "timed out with %d/%d epochs complete (%d/%d exit batches)"
+             (!sealed - Hashtbl.length accums) !sealed
+             (Hashtbl.fold (fun _ a n -> n + Hashtbl.length a.ea_seen) accums 0)
+             (want * Hashtbl.length accums));
+    let live = List.filter (fun sid -> not failed.(sid)) (List.init n_servers Fun.id) in
+    let dr_snapshots =
+      if not collect_stats then []
+      else begin
+        Trace.Phase.switch cph "recv-wait";
+        harvest_stats t ~live ~recv_timeout
+      end
+    in
+    (* Shut the fleet down (best effort — dead peers are skipped rather
+       than paid for: each send to a dead peer would burn the full bounded
+       reconnect budget). *)
     Trace.Phase.switch cph "send";
-    for sid = 0 to n_servers - 1 do
-      if not failed.(sid) then ignore (T.send t ~dst:sid (Ctrl.encode Ctrl.Shutdown))
-    done;
-    let failed_nodes =
-      List.filter (fun sid -> failed.(sid)) (List.init n_servers Fun.id)
-    in
-    let epochs =
-      List.sort
-        (fun a b -> compare a.ep_epoch b.ep_epoch)
-        (Hashtbl.fold (fun _ e acc -> e :: acc) published [])
-    in
+    List.iter (fun sid -> ignore (T.send t ~dst:sid (Ctrl.encode Ctrl.Shutdown))) live;
     Trace.Phase.stop cph;
     {
-      ing_epochs = epochs;
-      ing_abort = !cluster_abort;
-      ing_recovery_rounds = !recoveries;
-      ing_failed_nodes = failed_nodes;
-      ing_board = board;
+      dr_abort = !cluster_abort;
+      dr_recoveries = !recoveries;
+      dr_failed = List.filter (fun sid -> failed.(sid)) (List.init n_servers Fun.id);
+      dr_recovery_seconds = List.rev !recovery_seconds;
+      dr_snapshots;
+    }
+
+  (* Drive a full round over [t]: epoch 0 of the epoch driver, with the
+     submissions given in advance. The coordinator builds them, runs the
+     in-process reference execution on them, ships them to the entry heads
+     and seals at once; the completion step runs the variant endgame over
+     the exit holdings, publishes the plaintexts, and the outcome compares
+     them against the reference. *)
+  let run_coordinator ?(obs = Atom_obs.Ctx.noop) ?clock ?pool (t : T.t)
+      ~(config : Config.t) ~(users : int) ?(recv_timeout = 0.5) ?(max_idle = 240)
+      ?(stall_strikes = 8) ?(max_recovery_rounds = 16) ?(collect_stats = false) () :
+      cluster_outcome =
+    let cph = coord_phases ~obs ?clock () in
+    let rng = Atom_util.Rng.create config.Config.seed in
+    let net = Pr.setup rng config () in
+    let n_groups = config.Config.n_groups in
+    let msgs = List.init users (fun i -> Printf.sprintf "anonymous message #%d" i) in
+    let subs =
+      List.mapi (fun i m -> Pr.submit rng net ~user:i ~entry_gid:(i mod n_groups) m) msgs
+    in
+    (* The reference execution: same seed, same submissions, one process. *)
+    let reference = Pr.run rng net subs in
+    (* Entry accounting mirrors [Pr.run]: the heads verify on their side;
+       the coordinator's own pass supplies reject lists and commitments. *)
+    let seen = Hashtbl.create 256 in
+    let accepted, rejected = List.partition (Pr.verify_submission net seen) subs in
+    let commitments : (int, string list) Hashtbl.t = Hashtbl.create 64 in
+    List.iter
+      (fun s ->
+        match s.Pr.commitment with
+        | Some c ->
+            Hashtbl.replace commitments s.Pr.entry_gid
+              (c :: Option.value ~default:[] (Hashtbl.find_opt commitments s.Pr.entry_gid))
+        | None -> ())
+      accepted;
+    let entry =
+      List.init n_groups (fun gid ->
+          ( net.Pr.groups.(gid).Pr.members.(0),
+            Pr.Wire.submissions_to_frame ~gid (List.filter (fun s -> s.Pr.entry_gid = gid) subs) ))
+    in
+    (* Variant endgame over the assembled holdings, as in [Pr.run]. *)
+    let delivered = ref [] in
+    let complete ~epoch:_ ~latency:_ holdings =
+      let exits = Pr.decode_exit net holdings in
+      let plaintexts =
+        match config.Config.variant with
+        | Config.Basic | Config.Nizk -> Ok (message_posts exits)
+        | Config.Trap -> (
+            match Pr.trap_checks net ~commitments exits with
+            | Some _, _ -> Error "trap checks failed"
+            | None, inner_payloads ->
+                Ok (List.map Pr.Msg.unpad_plaintext (Pr.open_inners net inner_payloads)))
+      in
+      Result.map
+        (fun ps ->
+          delivered := ps;
+          Ctrl.encode (Ctrl.Published { plaintexts = Array.of_list ps }))
+        plaintexts
+    in
+    let d =
+      drive_epochs ~obs ?clock ?pool ~cph t ~net ~recv_timeout ~max_idle ~stall_strikes
+        ~max_recovery_rounds ~epoch_s:0. ~min_epochs:1 ~max_epochs:1
+        ~keep_collecting:(fun () -> false)
+        ~entry ~collect_stats ~complete
+    in
+    {
+      delivered = !delivered;
+      reference = reference.Pr.delivered;
+      matched =
+        d.dr_abort = None
+        && reference.Pr.aborted = None
+        && List.sort compare !delivered = List.sort compare reference.Pr.delivered;
+      cluster_abort = d.dr_abort;
+      rejected_submissions = List.map (fun s -> s.Pr.user) rejected;
+      recovery_rounds = d.dr_recoveries;
+      failed_nodes = d.dr_failed;
+      recovery_seconds = d.dr_recovery_seconds;
+      node_snapshots = d.dr_snapshots;
+    }
+
+  (* Drive pipelined epochs over client submissions: nodes collect them
+     continuously (they run with [?ingest]) and the epoch driver seals one
+     epoch every [epoch_s]. A completed epoch is decoded, canonicalized,
+     signed and announced to the fleet (entry heads fan the announcement
+     out to their clients). Trap-variant endgames need per-round trap
+     commitments the submission plane doesn't carry, so only Basic/Nizk
+     are accepted. *)
+  let run_ingest_coordinator ?(obs = Atom_obs.Ctx.noop) ?clock ?pool (t : T.t)
+      ~(config : Config.t) ?(recv_timeout = 0.25) ?(max_idle = 240)
+      ?(stall_strikes = 8) ?(max_recovery_rounds = 32) ~(epoch_s : float)
+      ~(min_epochs : int) ?(max_epochs = 64) ?(keep_collecting = fun () -> false) () :
+      ingest_outcome =
+    if config.Config.variant = Config.Trap then
+      invalid_arg "run_ingest_coordinator: Trap endgame needs per-round commitments";
+    let cph = coord_phases ~obs ?clock () in
+    let net = Pr.setup (Atom_util.Rng.create config.Config.seed) config () in
+    let bulletin_sk, _ = bulletin_keypair config in
+    let reg = Atom_obs.Ctx.metrics obs in
+    let m_epochs = Atom_obs.Metrics.counter reg "coord.epochs_published" in
+    let m_epoch_s =
+      Atom_obs.Metrics.histogram reg ~buckets:24 ~lo:0. ~hi:120. "coord.epoch_seconds"
+    in
+    let epochs = ref [] in
+    let complete ~epoch ~latency holdings =
+      let mixed = Array.fold_left (fun acc h -> acc + Array.length h) 0 holdings in
+      let sb = Bulletin.seal ~epoch (message_posts (Pr.decode_exit net holdings)) in
+      let signature = BSign.sign_sealed ~sk:bulletin_sk sb in
+      let latency = latency () in
+      Atom_obs.Metrics.incr m_epochs;
+      Atom_obs.Metrics.observe m_epoch_s latency;
+      Atom_obs.Log.info
+        "ingest coordinator: epoch %d published (%d posts, %d units, %.3fs)" epoch
+        (Array.length sb.Bulletin.posts) mixed latency;
+      epochs :=
+        { ep_epoch = epoch; ep_sealed = sb; ep_signature = signature; ep_mixed = mixed;
+          ep_latency_s = latency }
+        :: !epochs;
+      Ok
+        (Ctrl.encode
+           (Ctrl.Bulletin_announce
+              { epoch; digest = sb.Bulletin.digest; signature; posts = sb.Bulletin.posts }))
+    in
+    let d =
+      drive_epochs ~obs ?clock ?pool ~cph t ~net ~recv_timeout ~max_idle ~stall_strikes
+        ~max_recovery_rounds ~epoch_s ~min_epochs ~max_epochs ~keep_collecting ~entry:[]
+        ~collect_stats:false ~complete
+    in
+    {
+      ing_epochs = List.sort (fun a b -> compare a.ep_epoch b.ep_epoch) !epochs;
+      ing_abort = d.dr_abort;
+      ing_recovery_rounds = d.dr_recoveries;
+      ing_failed_nodes = d.dr_failed;
     }
 end

@@ -1,13 +1,15 @@
 (* The client submission plane: admission control, intake epochs, the
    sealed-and-signed bulletin, and the end-to-end ingest cluster.
 
-   Four angles:
+   Five angles:
    - admission: token-bucket pacing, hashcash, and the structural denials
      (oversize blobs, a full client table) — all pure clock-in functions;
    - intake: bounded epoch queues, idempotent dedup re-acks, backpressure
      and seal idempotence;
    - bulletin: canonical ordering, duplicate collapse, and signature
      forgery rejection on the sealed per-epoch output;
+   - the same ingest-mode fleet over the simulator transport with an
+     unclocked coordinator, deterministic down to the epoch digests;
    - a threaded TCP cluster running ingest-mode nodes, real clients and
      the pipelined-epoch coordinator: every accepted submission must land
      on the signed bulletin of exactly its acked epoch. *)
@@ -184,6 +186,144 @@ let test_bulletin_publish_sealed () =
   Bulletin.publish_sealed board s1;
   Alcotest.(check (list string)) "epoch 0" [ "a"; "b" ] (Bulletin.read_round board ~round:0);
   Alcotest.(check (list string)) "epoch 1" [ "c" ] (Bulletin.read_round board ~round:1)
+
+(* ---- end-to-end: ingest epochs over the simulator transport ---- *)
+
+module SimT = Atom_rpc.Sim_transport
+module NodeSim = Atom_rpc.Node.Make (G) (SimT.Check)
+
+(* 4 ingest-mode servers (2 entry groups of 2) and one client process in
+   the discrete-event engine, with the epoch coordinator unclocked: its
+   epoch pacing counts receive timeouts instead of wall seconds. The
+   client submits a first batch, waits until an entry head has rolled
+   over to a later epoch, then submits a second batch and stops. Returns
+   the acked (plaintext, epoch) pairs and the coordinator's outcome. *)
+let sim_ingest_config =
+  {
+    (Config.tiny ~variant:Config.Basic ~seed:11 ()) with
+    Config.n_servers = 4;
+    n_groups = 2;
+    group_size = 2;
+    h = 1;
+    topology = Config.Square 2;
+  }
+
+let run_sim_ingest () : (string * int) list * NodeSim.ingest_outcome =
+  let open Atom_sim in
+  let config = sim_ingest_config in
+  let n = config.Config.n_servers in
+  let coord = n and cid = n + 1 in
+  let e = Engine.create () in
+  let machines =
+    Array.init (n + 2) (fun id -> Machine.create e ~id ~cores:4 ~bandwidth:1e9 ~cluster:0)
+  in
+  let fleet = SimT.fleet e (Net.create e) ~machines in
+  for sid = 0 to n - 1 do
+    Engine.spawn e (fun () ->
+        NodeSim.run_node fleet.(sid) ~config ~node_id:sid ~coord ~recv_timeout:1.0
+          ~max_idle:120 ~ingest:Adm.default_policy ())
+  done;
+  let active = ref true in
+  let outcome = ref None in
+  Engine.spawn e (fun () ->
+      outcome :=
+        Some
+          (NodeSim.run_ingest_coordinator fleet.(coord) ~config ~recv_timeout:1.0 ~max_idle:120
+             ~epoch_s:4.0 ~min_epochs:2
+             ~keep_collecting:(fun () -> !active)
+             ()));
+  let net = NodeSim.Pr.setup (Atom_util.Rng.create config.Config.seed) config () in
+  let heads = Array.map (fun g -> g.NodeSim.Pr.members.(0)) net.NodeSim.Pr.groups in
+  let accepted = ref [] in
+  Engine.spawn e (fun () ->
+      let ep = fleet.(cid) in
+      let rng = Atom_util.Rng.create 0x5eed in
+      let send ~token ~gid blob =
+        ignore
+          (SimT.send ep ~dst:heads.(gid)
+             (Ctrl.encode
+                (Ctrl.Submit { client = cid; port = 0; token; gid; epoch = 0; blob; pow = "" })))
+      in
+      (* The first reply [pick] recognizes, skipping anything else. *)
+      let rec await pick =
+        match SimT.recv ep ~timeout:5.0 with
+        | Error _ -> None
+        | Ok (_, frame) -> (
+            match Option.bind (Ctrl.decode frame) pick with
+            | Some r -> Some r
+            | None -> await pick)
+      in
+      let batch round =
+        for i = 0 to 3 do
+          let gid = i mod 2 in
+          let token = (10 * round) + i in
+          let msg = Printf.sprintf "sim ingest %d.%d" round i in
+          send ~token ~gid
+            (NodeSim.Pr.Wire.submission_to_bytes
+               (NodeSim.Pr.submit rng net ~user:token ~entry_gid:gid msg));
+          match
+            await (function
+              | Ctrl.Submit_ack { token = tk; status; epoch; _ } when tk = token ->
+                  Some (status, epoch)
+              | _ -> None)
+          with
+          | Some (status, epoch) when status = Ctrl.submit_accepted ->
+              accepted := (msg, epoch) :: !accepted
+          | _ -> Alcotest.failf "%s not accepted" msg
+        done
+      in
+      batch 0;
+      (* Epoch query (empty blob) until the head collects a later epoch. *)
+      let rec rolled polls =
+        send ~token:0 ~gid:0 "";
+        match await (function Ctrl.Epoch_info { epoch; _ } -> Some epoch | _ -> None) with
+        | Some ep when ep >= 1 -> ()
+        | _ when polls < 50 -> rolled (polls + 1)
+        | _ -> Alcotest.fail "entry head never left epoch 0"
+      in
+      rolled 0;
+      batch 1;
+      active := false);
+  ignore (Engine.run e);
+  match !outcome with
+  | Some o -> (List.rev !accepted, o)
+  | None -> Alcotest.fail "ingest coordinator never completed"
+
+let test_sim_ingest_epochs () =
+  let accepted, o = run_sim_ingest () in
+  Alcotest.(check (option string)) "no abort" None o.NodeSim.ing_abort;
+  Alcotest.(check int) "every submission acked" 8 (List.length accepted);
+  Alcotest.(check bool) "acks span two epochs" true
+    (List.exists (fun (_, e) -> e = 0) accepted && List.exists (fun (_, e) -> e > 0) accepted);
+  Alcotest.(check bool) "pipelined epochs" true (List.length o.NodeSim.ing_epochs >= 2);
+  let _, pk = NodeSim.bulletin_keypair sim_ingest_config in
+  let posts_of ep = Array.to_list ep.NodeSim.ep_sealed.Bulletin.posts in
+  List.iter
+    (fun ep ->
+      Alcotest.(check bool)
+        (Printf.sprintf "epoch %d signature" ep.NodeSim.ep_epoch)
+        true
+        (NodeSim.BSign.verify_sealed ~pk ep.NodeSim.ep_sealed ~signature:ep.NodeSim.ep_signature))
+    o.NodeSim.ing_epochs;
+  (* Exactly once, in the acked epoch. *)
+  Alcotest.(check int) "published exactly the accepted set" (List.length accepted)
+    (List.length (List.concat_map posts_of o.NodeSim.ing_epochs));
+  List.iter
+    (fun (msg, e) ->
+      match List.find_opt (fun ep -> ep.NodeSim.ep_epoch = e) o.NodeSim.ing_epochs with
+      | Some ep ->
+          Alcotest.(check bool) (Printf.sprintf "%S in epoch %d" msg e) true
+            (List.mem msg (posts_of ep))
+      | None -> Alcotest.failf "acked epoch %d never published" e)
+    accepted;
+  (* Same seed, same schedule: the epochs replay digest for digest. *)
+  let digests o =
+    List.map
+      (fun ep -> (ep.NodeSim.ep_epoch, ep.NodeSim.ep_sealed.Bulletin.digest))
+      o.NodeSim.ing_epochs
+  in
+  let _, o2 = run_sim_ingest () in
+  Alcotest.(check (list (pair int string))) "epoch digests replay" (digests o) (digests o2)
 
 (* ---- end-to-end: ingest cluster over threaded TCP ---- *)
 
@@ -364,5 +504,6 @@ let suite =
       Alcotest.test_case "bulletin canonical seal" `Quick test_bulletin_canonical;
       Alcotest.test_case "bulletin signatures" `Quick test_bulletin_signatures;
       Alcotest.test_case "bulletin publish sealed" `Quick test_bulletin_publish_sealed;
+      Alcotest.test_case "sim ingest epochs" `Quick test_sim_ingest_epochs;
       Alcotest.test_case "tcp ingest cluster" `Quick test_tcp_ingest_cluster;
     ] )

@@ -151,6 +151,72 @@ let test_sim_cluster_deterministic () =
   Alcotest.(check (list string)) "delivery order replays" o1.NodeSim.delivered
     o2.NodeSim.delivered
 
+(* A rogue endpoint hands the coordinator exit batches no honest tail can
+   produce: a group id past the last group, a batch index past the exit
+   layer's fan-out, and an exit from a non-final layer. Admission must
+   count and drop all three — never index out of bounds, never let a bogus
+   batch stand in for a real one — and the round still matches the
+   single-process reference. *)
+let test_sim_rogue_exit_batches () =
+  List.iter
+    (fun variant ->
+      let config = cluster_config variant in
+      let pnet = Pr.setup (Atom_util.Rng.create config.Config.seed) config () in
+      let e = Engine.create () in
+      let net = Net.create e in
+      let n = config.Config.n_servers in
+      let coord = n and rogue = n + 1 in
+      let machines =
+        Array.init (n + 2) (fun id -> Machine.create e ~id ~cores:4 ~bandwidth:1e9 ~cluster:0)
+      in
+      let fleet = SimT.fleet e net ~machines in
+      for sid = 0 to n - 1 do
+        Engine.spawn e (fun () ->
+            NodeSim.run_node fleet.(sid) ~config ~node_id:sid ~coord ~recv_timeout:1.0
+              ~max_idle:120 ())
+      done;
+      let obs = Atom_obs.Ctx.create () in
+      let outcome = ref None in
+      Engine.spawn e (fun () ->
+          outcome :=
+            Some
+              (NodeSim.run_coordinator ~obs fleet.(coord) ~config ~users:12 ~recv_timeout:1.0
+                 ~max_idle:120 ()));
+      Engine.spawn e (fun () ->
+          let last = NodeSim.iterations pnet - 1 in
+          (* One well-formed unit per frame, so a batch that slipped past
+             admission would reach the holdings. *)
+          let r = Atom_util.Rng.create 0xbad in
+          let unit_ = fst (El.enc_vec r (El.keygen r).El.pk [| G.random r; G.random r |]) in
+          let bogus ~gid ~iter ~batch_idx =
+            NodeSim.C.encode
+              (NodeSim.C.Exit_batch
+                 { gid; iter; batch_idx; input = [| unit_ |]; output = [| unit_ |];
+                   proofs = [| "" |] })
+          in
+          List.iter
+            (fun frame -> ignore (SimT.send fleet.(rogue) ~dst:coord frame))
+            [
+              bogus ~gid:config.Config.n_groups ~iter:last ~batch_idx:0;
+              bogus ~gid:0 ~iter:last
+                ~batch_idx:(Array.length (NodeSim.neighbors pnet ~iter:last ~gid:0));
+              bogus ~gid:0 ~iter:0 ~batch_idx:0;
+            ]);
+      ignore (Engine.run e);
+      let name =
+        match variant with Config.Basic -> "basic" | Config.Nizk -> "nizk" | Config.Trap -> "trap"
+      in
+      match !outcome with
+      | None -> Alcotest.failf "%s: coordinator never completed" name
+      | Some o ->
+          Alcotest.(check (option string)) (name ^ ": no abort") None o.NodeSim.cluster_abort;
+          Alcotest.(check bool) (name ^ ": matches reference") true o.NodeSim.matched;
+          Alcotest.(check (float 0.))
+            (name ^ ": rogue exits counted as dups")
+            3.0
+            (Atom_obs.Metrics.counter_value (Atom_obs.Ctx.metrics obs) "coord.exit_dups"))
+    [ Config.Basic; Config.Nizk; Config.Trap ]
+
 (* A node that receives unparseable bytes drops them, counts them, and
    keeps running — line noise is not evidence of misbehaviour (§4.4
    aborts are reserved for failed proofs), and a crash would turn one
@@ -652,6 +718,7 @@ let suite =
       Alcotest.test_case "chaos partition window" `Quick test_chaos_partition_window;
       Alcotest.test_case "sim cluster all variants" `Quick test_sim_cluster_all_variants;
       Alcotest.test_case "sim cluster deterministic" `Quick test_sim_cluster_deterministic;
+      Alcotest.test_case "sim rogue exit batches" `Quick test_sim_rogue_exit_batches;
       Alcotest.test_case "node survives bad frame" `Quick test_sim_node_survives_bad_frame;
       Alcotest.test_case "tcp threaded cluster" `Quick test_tcp_threaded_cluster;
       Alcotest.test_case "tcp traced cluster stats" `Quick test_tcp_traced_cluster_stats;
