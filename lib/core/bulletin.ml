@@ -104,13 +104,15 @@ module Signer (G : Atom_group.Group_intf.GROUP) = struct
   let verify ~(pk : pk) ~(msg : string) (signature : string) : bool =
     String.length signature = signature_bytes
     &&
-    match G.of_bytes (String.sub signature 0 G.element_bytes) with
-    | None -> false
-    | Some r ->
-        let s = G.Scalar.of_bytes_mod (String.sub signature G.element_bytes scalar_bytes) in
+    match
+      ( G.of_bytes (String.sub signature 0 G.element_bytes),
+        G.Scalar.of_bytes (String.sub signature G.element_bytes scalar_bytes) )
+    with
+    | Some r, Some s ->
         (* g^s = R · pk^c *)
         let c = challenge ~pk ~r msg in
         G.equal (G.pow_gen s) (G.mul r (G.pow pk c))
+    | _ -> false
 
   let sign_sealed ~(sk : sk) (s : sealed) : string = sign ~sk s.digest
 

@@ -26,7 +26,10 @@ val paper : t
 val scale : t -> float -> t
 
 val measure : (module Atom_group.Group_intf.GROUP) -> ?shuffle_batch:int -> unit -> t
-(** Time every primitive with the given backend on this host. *)
+(** Time every primitive with the given backend on this host. The shuffle,
+    ShufProof, ReEncProof and EncProof-verify rows are per-message averages
+    over one [shuffle_batch]-sized vector (default 256), the shape the
+    runtime runs them in. *)
 
 val time_it : ?reps:int -> (unit -> unit) -> float
 val pp : Format.formatter -> t -> unit

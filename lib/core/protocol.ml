@@ -141,6 +141,18 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
     if List.length live < quorum then None
     else Some (List.filteri (fun i _ -> i < quorum) live)
 
+  (* [regroup units flat] cuts [flat], laid out as the concatenation of
+     [units], back into arrays of the units' lengths. A proven ReEnc step
+     runs a batch's units as one vector and regroups the results. *)
+  let regroup (units : 'a array array) (flat : 'b array) : 'b array array =
+    let off = ref 0 in
+    Array.map
+      (fun u ->
+        let o = !off in
+        off := o + Array.length u;
+        Array.sub flat o (Array.length u))
+      units
+
   (* ---- Client submissions (§3 and §4.4) ---- *)
 
   type unit_ct = { vec : El.vec; proofs : P.Enc_proof.t array }
@@ -320,23 +332,17 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
                         let coeff = Sh.lagrange_at_zero ~xs:quorum_positions ~i:pos in
                         if nizk then begin
                           let eff_pk = G.pow (Dkg.share_pk g.keys pos) coeff in
-                          let stepped =
-                            Array.map
-                              (fun v ->
-                                let v', pis =
-                                  P.Reenc_proof.reenc_vec_with_proof rng ~share ~coeff ~next_pk
-                                    ~context:ctx v
-                                in
-                                let ok =
-                                  P.Reenc_proof.verify_vec ~eff_pk ~next_pk ~context:ctx ~input:v
-                                    ~output:v' pis
-                                in
-                                (v', ok))
-                              !current_batch
+                          let v = Array.concat (Array.to_list !current_batch) in
+                          let v', pis =
+                            P.Reenc_proof.reenc_vec_with_proof rng ~share ~coeff ~next_pk
+                              ~context:ctx v
                           in
-                          if Array.for_all snd stepped then begin
-                            ops.unit_reencs <- ops.unit_reencs + Array.length stepped;
-                            current_batch := Array.map fst stepped
+                          if
+                            P.Reenc_proof.verify_vec ~eff_pk ~next_pk ~context:ctx ~input:v
+                              ~output:v' pis
+                          then begin
+                            ops.unit_reencs <- ops.unit_reencs + Array.length !current_batch;
+                            current_batch := regroup !current_batch v'
                           end
                           else abort := Some (Reenc_proof_rejected { gid = g.gid; iter })
                         end

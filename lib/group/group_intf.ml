@@ -38,6 +38,11 @@ module type GROUP = sig
     val of_bytes_mod : string -> t
     (** Interpret big-endian bytes modulo q (hash-to-scalar). *)
 
+    val of_bytes : string -> t option
+    (** Strict decode of the {!to_bytes} encoding: [None] unless the input
+        has exactly the encoded length and is below q, so every scalar has
+        one accepted encoding. *)
+
     val to_bytes : t -> string
     (** Fixed-length big-endian encoding. *)
   end

@@ -53,6 +53,13 @@ module Scalar = struct
   let is_zero = Modarith.is_zero
   let random rng = of_nat (Nat.random_below rng order)
   let of_bytes_mod s = of_nat (Nat.of_bytes_be s)
+
+  let of_bytes s =
+    if String.length s <> 32 then None
+    else
+      let v = Nat.of_bytes_be s in
+      if Nat.compare v order < 0 then Some (of_nat v) else None
+
   let to_bytes s = Nat.to_bytes_be ~length:32 (to_nat s)
 end
 

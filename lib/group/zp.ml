@@ -58,6 +58,13 @@ let make (params : params) : (module Group_intf.GROUP) =
       let random rng = of_nat (Nat.random_below rng order)
       let of_bytes_mod s = of_nat (Nat.of_bytes_be s)
       let scalar_bytes = (Nat.bit_length params.q + 7) / 8
+
+      let of_bytes s =
+        if String.length s <> scalar_bytes then None
+        else
+          let v = Nat.of_bytes_be s in
+          if Nat.compare v order < 0 then Some (of_nat v) else None
+
       let to_bytes s = Nat.to_bytes_be ~length:scalar_bytes (to_nat s)
     end
 

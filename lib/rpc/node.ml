@@ -115,25 +115,36 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
             | None -> Frame.R.fail ()))
 
   (* Verify one proof-carrying hop: [proofs] has one blob per unit proving
-     input.(u) → output.(u) under [eff_pk]/[next_pk]. Units are independent,
-     so the checks fan out across the pool (the sequential path kept its
-     first-failure short-circuit; the pooled one checks every unit — same
-     verdict either way). *)
+     input.(u) → output.(u) under [eff_pk]/[next_pk]. Every unit must carry
+     one proof per component; the whole hop is then one batched check. *)
   let verify_hop ?pool ~(eff_pk : G.t) ~(next_pk : G.t option) ~(context : string)
       ~(input : Pr.El.vec array) ~(output : Pr.El.vec array) (proofs : string array) : bool =
     Array.length input = Array.length output
     && Array.length input = Array.length proofs
     && begin
-         let oks =
-           Atom_exec.Pool.tabulate ?pool (Array.length proofs) (fun u ->
-               match reenc_proofs_of_blob proofs.(u) with
-               | None -> false
-               | Some pis ->
-                   Pr.P.Reenc_proof.verify_vec ~eff_pk ~next_pk ~context
-                     ~input:input.(u) ~output:output.(u) pis)
+         let pis = Atom_exec.Pool.map ?pool reenc_proofs_of_blob proofs in
+         let shaped u = function
+           | Some p ->
+               Array.length p = Array.length input.(u)
+               && Array.length output.(u) = Array.length input.(u)
+           | None -> false
          in
-         Array.for_all Fun.id oks
+         Array.for_all Fun.id (Array.mapi shaped pis)
+         && Pr.P.Reenc_proof.verify_vec ?pool ~eff_pk ~next_pk ~context
+              ~input:(Array.concat (Array.to_list input))
+              ~output:(Array.concat (Array.to_list output))
+              (Array.concat (List.map Option.get (Array.to_list pis)))
        end
+
+  (* One server's proven ReEnc step over a batch of units: the units run as
+     one vector and the proofs are split back into one blob per unit. *)
+  let reenc_units_with_proof rng ~share ~coeff ~next_pk ~context (units : Pr.El.vec array) :
+      Pr.El.vec array * string array =
+    let out, pis =
+      Pr.P.Reenc_proof.reenc_vec_with_proof rng ~share ~coeff ~next_pk ~context
+        (Array.concat (Array.to_list units))
+    in
+    (Pr.regroup units out, Array.map reenc_proofs_to_blob (Pr.regroup units pis))
 
   (* ---- §4.5 failure routing ----
 
@@ -468,16 +479,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
           let rng = step_rng n ~gid ~iter ~tag:(1000 + (bi * 64) + 1) in
           let next_pk = if last_iter then None else Some (Pr.group_pk net nbrs.(bi)) in
           let output, proofs =
-            if nizk n then begin
-              let stepped =
-                Array.map
-                  (fun v ->
-                    Pr.P.Reenc_proof.reenc_vec_with_proof rng ~share ~coeff ~next_pk
-                      ~context:ctx v)
-                  batch
-              in
-              (Array.map fst stepped, Array.map (fun (_, pis) -> reenc_proofs_to_blob pis) stepped)
-            end
+            if nizk n then reenc_units_with_proof rng ~share ~coeff ~next_pk ~context:ctx batch
             else
               ( Array.map (fun v -> fst (Pr.El.reenc_vec rng ~share ~coeff ~next_pk v)) batch,
                 Array.map (fun _ -> "") batch )
@@ -681,15 +683,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
       let share, coeff = share_and_coeff net gid step in
       let rng = step_rng n ~gid ~iter ~tag:(1000 + (batch_idx * 64) + step) in
       let output', proofs' =
-        if nizk n then begin
-          let stepped =
-            Array.map
-              (fun v ->
-                Pr.P.Reenc_proof.reenc_vec_with_proof rng ~share ~coeff ~next_pk ~context:ctx v)
-              output
-          in
-          (Array.map fst stepped, Array.map (fun (_, pis) -> reenc_proofs_to_blob pis) stepped)
-        end
+        if nizk n then reenc_units_with_proof rng ~share ~coeff ~next_pk ~context:ctx output
         else
           ( Array.map (fun v -> fst (Pr.El.reenc_vec rng ~share ~coeff ~next_pk v)) output,
             Array.map (fun _ -> "") output )

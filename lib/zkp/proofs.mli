@@ -5,7 +5,8 @@
     [Dleq] is the Chaum–Pedersen discrete-log-equality proof [20];
     [Reenc_proof] composes two DLEQs into verifiable
     decrypt-and-reencrypt. All proof objects have byte codecs whose
-    decoders validate every group element. *)
+    decoders validate every group element and accept only canonical
+    scalars (below q). *)
 
 module Make
     (G : Atom_group.Group_intf.GROUP)
@@ -31,6 +32,9 @@ module Make
       t array
 
     val verify_vec : pk:G.t -> context:string -> El.vec -> t array -> bool
+    (** One ρ-weighted multi-scalar multiplication for the whole vector
+        ({!verify} is its one-element case). The verdict is a deterministic
+        function of the inputs, the same for every pool. *)
   end
 
   module Dleq : sig
@@ -56,11 +60,12 @@ module Make
     (** Perform one server's ReEnc step and prove it: one DLEQ for the
         stripped factor D = Y^{x_eff} against the server's effective public
         share, one DLEQ for the fresh rerandomization (absent at the exit
-        layer). *)
+        layer). The one-element case of {!reenc_vec_with_proof}. *)
 
     val verify :
       eff_pk:G.t -> next_pk:G.t option -> context:string -> input:El.cipher ->
       output:El.cipher -> t -> bool
+    (** The one-element case of {!verify_vec}. *)
 
     val to_bytes : t -> string
     val of_bytes : string -> t option
@@ -68,9 +73,15 @@ module Make
     val reenc_vec_with_proof :
       Atom_util.Rng.t -> share:G.Scalar.t -> ?coeff:G.Scalar.t -> next_pk:G.t option ->
       context:string -> El.vec -> El.vec * t array
+    (** [El.reenc_vec] plus one proof per ciphertext, with the commitments
+        built as fixed-base batches. *)
 
     val verify_vec :
-      eff_pk:G.t -> next_pk:G.t option -> context:string -> input:El.vec -> output:El.vec ->
-      t array -> bool
+      ?pool:Atom_exec.Pool.t -> eff_pk:G.t -> next_pk:G.t option -> context:string ->
+      input:El.vec -> output:El.vec -> t array -> bool
+    (** Every leg of every proof folded into one ρ-weighted multi-scalar
+        multiplication; the ρ come from a transcript over the statement and
+        all proof elements, so the verdict is deterministic and the same
+        for every pool. *)
   end
 end

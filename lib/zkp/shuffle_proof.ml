@@ -358,9 +358,13 @@ struct
         S.zero
       end
       else begin
-        let v = S.of_bytes_mod (String.sub s !pos scalar_bytes) in
-        pos := !pos + scalar_bytes;
-        v
+        match S.of_bytes (String.sub s !pos scalar_bytes) with
+        | Some v ->
+            pos := !pos + scalar_bytes;
+            v
+        | None ->
+            fail := true;
+            S.zero
       end
     in
     let n = read_u32 () in

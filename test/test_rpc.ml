@@ -217,6 +217,127 @@ let test_sim_rogue_exit_batches () =
             (Atom_obs.Metrics.counter_value (Atom_obs.Ctx.metrics obs) "coord.exit_dups"))
     [ Config.Basic; Config.Nizk; Config.Trap ]
 
+(* [verify_hop] is the one check behind the next member's, the next
+   head's and the coordinator's exit verification. It runs a whole hop as
+   one batched call, so it must still reject a tampered proof in any unit
+   and proofs regrouped across units. *)
+let test_verify_hop () =
+  let config = cluster_config Config.Nizk in
+  let pnet = Pr.setup (Atom_util.Rng.create config.Config.seed) config () in
+  let r = Atom_util.Rng.create 0x40b in
+  let share, coeff = NodeSim.share_and_coeff pnet 0 1 in
+  let eff_pk = NodeSim.eff_pk pnet 0 1 in
+  let context = NodeSim.iter_ctx pnet 0 0 in
+  List.iter
+    (fun next_pk ->
+      let layer = if next_pk = None then "exit" else "mid" in
+      let input =
+        Array.map
+          (fun w -> fst (El.enc_vec r (Pr.group_pk pnet 0) (Array.init w (fun _ -> G.random r))))
+          [| 2; 3 |]
+      in
+      let output, proofs =
+        NodeSim.reenc_units_with_proof r ~share ~coeff ~next_pk ~context input
+      in
+      let verify ?(output = output) proofs =
+        NodeSim.verify_hop ~eff_pk ~next_pk ~context ~input ~output proofs
+      in
+      Alcotest.(check bool) (layer ^ ": honest hop") true (verify proofs);
+      let pis = Array.map (fun b -> Option.get (NodeSim.reenc_proofs_of_blob b)) proofs in
+      let bad = Array.copy pis.(1) in
+      bad.(2) <- { bad.(2) with Pr.P.Reenc_proof.stripped = G.mul bad.(2).Pr.P.Reenc_proof.stripped G.generator };
+      Alcotest.(check bool) (layer ^ ": tampered proof") false
+        (verify [| proofs.(0); NodeSim.reenc_proofs_to_blob bad |]);
+      let out = Array.map Array.copy output in
+      out.(0).(1) <- { (out.(0).(1)) with El.c = G.mul out.(0).(1).El.c G.generator };
+      Alcotest.(check bool) (layer ^ ": tampered output") false (verify ~output:out proofs);
+      (* Same proofs in the same order, cut 3 + 2 instead of 2 + 3. *)
+      let all = Array.append pis.(0) pis.(1) in
+      Alcotest.(check bool) (layer ^ ": proofs regrouped across units") false
+        (verify
+           [| NodeSim.reenc_proofs_to_blob (Array.sub all 0 3);
+              NodeSim.reenc_proofs_to_blob (Array.sub all 3 2) |]))
+    [ Some (Pr.group_pk pnet 1); None ]
+
+(* A tampered proof reaching a live node's step check, or the
+   coordinator's exit check, aborts the round with a proof rejection. *)
+let test_sim_tampered_proofs_abort () =
+  let config = cluster_config Config.Nizk in
+  let pnet = Pr.setup (Atom_util.Rng.create config.Config.seed) config () in
+  let r = Atom_util.Rng.create 0x7a3 in
+  let unit_ = fst (El.enc_vec r (Pr.group_pk pnet 0) [| G.random r; G.random r |]) in
+  let tampered ~iter ~next_pk =
+    let share, coeff = NodeSim.share_and_coeff pnet 0 1 in
+    let output, proofs =
+      NodeSim.reenc_units_with_proof r ~share ~coeff ~next_pk
+        ~context:(NodeSim.iter_ctx pnet 0 iter) [| unit_ |]
+    in
+    let pis = Option.get (NodeSim.reenc_proofs_of_blob proofs.(0)) in
+    pis.(0) <- { (pis.(0)) with Pr.P.Reenc_proof.stripped = G.mul pis.(0).Pr.P.Reenc_proof.stripped G.generator };
+    (output, [| NodeSim.reenc_proofs_to_blob pis |])
+  in
+  (* Next member: node 0 gets step 2 of a chain whose step-1 proof lies. *)
+  let e = Engine.create () in
+  let net = Net.create e in
+  let machines = Array.init 2 (fun id -> Machine.create e ~id ~cores:4 ~bandwidth:1e9 ~cluster:0) in
+  let fleet = SimT.fleet e net ~machines in
+  Engine.spawn e (fun () ->
+      NodeSim.run_node fleet.(0) ~config ~node_id:0 ~coord:1 ~recv_timeout:1.0 ~max_idle:60 ());
+  let got = ref None in
+  Engine.spawn e (fun () ->
+      let output, proofs =
+        tampered ~iter:0 ~next_pk:(Some (Pr.group_pk pnet (NodeSim.neighbors pnet ~iter:0 ~gid:0).(0)))
+      in
+      ignore
+        (SimT.send fleet.(1) ~dst:0
+           (NodeSim.C.encode
+              (NodeSim.C.Reenc_step
+                 { gid = 0; iter = 0; batch_idx = 0; step = 2; sent_at = 0; input = [| unit_ |];
+                   output; proofs })));
+      (match SimT.recv fleet.(1) ~timeout:60.0 with
+      | Ok (0, frame) -> got := Ctrl.decode frame
+      | _ -> ());
+      ignore (SimT.send fleet.(1) ~dst:0 (Ctrl.encode Ctrl.Shutdown)));
+  ignore (Engine.run e);
+  (match !got with
+  | Some (Ctrl.Abort { code; _ }) ->
+      Alcotest.(check int) "next member: proof rejected" Ctrl.abort_proof_rejected code
+  | _ -> Alcotest.fail "next member did not abort on a tampered proof");
+  (* Coordinator exit check: a forged exit batch arrives before the real
+     ones. *)
+  let e = Engine.create () in
+  let net = Net.create e in
+  let n = config.Config.n_servers in
+  let coord = n and rogue = n + 1 in
+  let machines =
+    Array.init (n + 2) (fun id -> Machine.create e ~id ~cores:4 ~bandwidth:1e9 ~cluster:0)
+  in
+  let fleet = SimT.fleet e net ~machines in
+  for sid = 0 to n - 1 do
+    Engine.spawn e (fun () ->
+        NodeSim.run_node fleet.(sid) ~config ~node_id:sid ~coord ~recv_timeout:1.0 ~max_idle:120 ())
+  done;
+  let outcome = ref None in
+  Engine.spawn e (fun () ->
+      outcome :=
+        Some (NodeSim.run_coordinator fleet.(coord) ~config ~users:12 ~recv_timeout:1.0 ~max_idle:120 ()));
+  Engine.spawn e (fun () ->
+      let last = NodeSim.iterations pnet - 1 in
+      let output, proofs = tampered ~iter:last ~next_pk:None in
+      ignore
+        (SimT.send fleet.(rogue) ~dst:coord
+           (NodeSim.C.encode
+              (NodeSim.C.Exit_batch
+                 { gid = 0; iter = last; batch_idx = 0; input = [| unit_ |]; output; proofs }))));
+  ignore (Engine.run e);
+  match !outcome with
+  | None -> Alcotest.fail "coordinator never completed"
+  | Some o ->
+      Alcotest.(check bool) "exit check: round aborted" true
+        (match o.NodeSim.cluster_abort with
+        | Some d -> String.length d >= 20 && String.sub d 0 20 = "exit proofs rejected"
+        | None -> false)
+
 (* A node that receives unparseable bytes drops them, counts them, and
    keeps running — line noise is not evidence of misbehaviour (§4.4
    aborts are reserved for failed proofs), and a crash would turn one
@@ -719,6 +840,8 @@ let suite =
       Alcotest.test_case "sim cluster all variants" `Quick test_sim_cluster_all_variants;
       Alcotest.test_case "sim cluster deterministic" `Quick test_sim_cluster_deterministic;
       Alcotest.test_case "sim rogue exit batches" `Quick test_sim_rogue_exit_batches;
+      Alcotest.test_case "verify_hop batches a hop" `Quick test_verify_hop;
+      Alcotest.test_case "sim tampered proofs abort" `Quick test_sim_tampered_proofs_abort;
       Alcotest.test_case "node survives bad frame" `Quick test_sim_node_survives_bad_frame;
       Alcotest.test_case "tcp threaded cluster" `Quick test_tcp_threaded_cluster;
       Alcotest.test_case "tcp traced cluster stats" `Quick test_tcp_traced_cluster_stats;
