@@ -89,9 +89,11 @@ module type GROUP = sig
       product is [one]. *)
 
   val pow_batch : ?pool:Atom_exec.Pool.t -> t -> scalar array -> t array
-  (** [pow_batch x ks] = [|x^k1; x^k2; …|]: one base, many scalars. The
-      base's window table is built once and curve backends normalize the
-      whole batch with a single field inversion. *)
+  (** [pow_batch x ks] = [|x^k1; x^k2; …|]: one base, many scalars.
+      Backends may treat [x] as a long-lived key base and build (or reuse)
+      a fixed-base table for it — a Lim–Lee comb on P-256, a window table
+      on Zp — and curve backends normalize the whole batch with a single
+      field inversion. *)
 
   val pow_gen_batch : ?pool:Atom_exec.Pool.t -> scalar array -> t array
   (** [pow_gen_batch ks] = [pow_batch generator ks], served from the

@@ -202,11 +202,17 @@ let jadd_aff (s : Modarith.S.t) (p1 : jp) (x2 : Modarith.el) (y2 : Modarith.el) 
     end
   end
 
-(* p1 <- p1 + p2; p2 is only read. (p1 == p2 degenerates to h = r = 0 and
-   takes the doubling branch, so physical aliasing is still correct.) *)
-let jadd (s : Modarith.S.t) (p1 : jp) (p2 : jp) : unit =
-  if jp_is_inf p1 then jp_copy ~dst:p1 p2
-  else if jp_is_inf p2 then ()
+(* p1 <- p1 + (x2, y2, z2), general Jacobian addition; the second operand
+   is only read. (Aliasing p1 degenerates to h = r = 0 and takes the
+   doubling branch, so it is still correct.) *)
+let jadd_xyz (s : Modarith.S.t) (p1 : jp) (x2 : Modarith.el) (y2 : Modarith.el)
+    (z2 : Modarith.el) : unit =
+  if jp_is_inf p1 then begin
+    Modarith.copy_into ~dst:p1.x x2;
+    Modarith.copy_into ~dst:p1.y y2;
+    Modarith.copy_into ~dst:p1.z z2
+  end
+  else if Modarith.is_zero z2 then ()
   else begin
     let m = Modarith.S.mark s in
     let z1z1 = Modarith.S.take s and z2z2 = Modarith.S.take s in
@@ -214,13 +220,13 @@ let jadd (s : Modarith.S.t) (p1 : jp) (p2 : jp) : unit =
     let s1 = Modarith.S.take s and s2 = Modarith.S.take s in
     let h = Modarith.S.take s and r = Modarith.S.take s in
     Modarith.S.sqr s ~dst:z1z1 p1.z;
-    Modarith.S.sqr s ~dst:z2z2 p2.z;
+    Modarith.S.sqr s ~dst:z2z2 z2;
     Modarith.S.mul s ~dst:u1 p1.x z2z2;
-    Modarith.S.mul s ~dst:u2 p2.x z1z1;
-    Modarith.S.mul s ~dst:s1 p2.z z2z2;
+    Modarith.S.mul s ~dst:u2 x2 z1z1;
+    Modarith.S.mul s ~dst:s1 z2 z2z2;
     Modarith.S.mul s ~dst:s1 p1.y s1;
     Modarith.S.mul s ~dst:s2 p1.z z1z1;
-    Modarith.S.mul s ~dst:s2 p2.y s2;
+    Modarith.S.mul s ~dst:s2 y2 s2;
     Modarith.S.sub s ~dst:h u2 u1;
     Modarith.S.sub s ~dst:r s2 s1;
     if Modarith.is_zero h then begin
@@ -242,13 +248,15 @@ let jadd (s : Modarith.S.t) (p1 : jp) (p2 : jp) : unit =
       Modarith.S.mul s ~dst:y3 r y3;
       Modarith.S.mul s ~dst:t s1 hhh;
       Modarith.S.sub s ~dst:y3 y3 t;
-      Modarith.S.mul s ~dst:p1.z p1.z p2.z;
+      Modarith.S.mul s ~dst:p1.z p1.z z2;
       Modarith.S.mul s ~dst:p1.z p1.z h;
       Modarith.copy_into ~dst:p1.x x3;
       Modarith.copy_into ~dst:p1.y y3;
       Modarith.S.release s m
     end
   end
+
+let jadd (s : Modarith.S.t) (p1 : jp) (p2 : jp) : unit = jadd_xyz s p1 p2.x p2.y p2.z
 
 (* Canonicalization back to the boxed affine world. These run outside any
    session (Fermat inversion and the public allocating ops), and their
@@ -304,17 +312,19 @@ let generator = Aff (Modarith.of_nat fp gx, Modarith.of_nat fp gy)
 
 (* ---- Fast-path scalar-multiplication engine ----
 
-   Four ingredients (see DESIGN.md, "Performance engineering"):
-   - mixed Jacobian+affine addition, ~4 field mults cheaper than the
-     general Jacobian add, used everywhere a precomputed table is affine;
-   - batch affine normalization (Montgomery's simultaneous-inversion
-     trick): k points cost one Fermat inversion instead of k;
-   - a precomputed fixed-base comb table for the generator (64 4-bit
-     windows × 15 entries), making [pow_gen] a doubling-free sum of ≤ 64
-     table lookups;
-   - an MRU cache of per-base affine window tables for long-lived bases
-     (public keys): the table is built on a base's second sighting, so
-     one-shot bases never pay the normalization inversion. *)
+   Costs below are in field multiplications (a squaring runs the same
+   kernel): a doubling costs 8, a mixed Jacobian+affine addition 11, a
+   general Jacobian addition 16 and a Fermat inversion about 330 (see
+   DESIGN.md, "Performance engineering"). Everything here is variable
+   time: which additions run depends on the scalar.
+   - the generator has a fixed-base comb (64 4-bit windows × 15 entries),
+     making [pow_gen] a doubling-free sum of ≤ 64 mixed additions;
+   - every other base goes through signed-digit Straus: width-5 wNAF
+     digits over a table of its odd multiples {1,3,…,15}·P, one shared
+     doubling chain per MSM, and the MSM's tables normalized to affine
+     with one simultaneous inversion where that pays for itself;
+   - key bases (a group public key, used over and over) get a Lim–Lee comb
+     in a small MRU cache, read with 42 doublings instead of 256. *)
 
 let nibble_of (e : Nat.t) (w : int) : int =
   (if Nat.test_bit e ((4 * w) + 3) then 8 else 0)
@@ -373,171 +383,293 @@ let pow_gen (k : scalar) : t =
   let e = Scalar.to_nat k in
   if Nat.is_zero e then Inf else comb_point e
 
-(* 15-entry affine window table for an arbitrary base: one batch
-   normalization (one inversion) per table. *)
-let affine_table (base : t) : t array =
-  let jt = Array.init 15 (fun _ -> jp_fresh ()) in
-  (match base with
-  | Inf -> Array.iter jp_set_inf jt
-  | Aff (bx, by) ->
-      Modarith.with_session fp (fun s ->
-          jp_set_aff jt.(0) bx by;
-          for d = 1 to 14 do
-            jp_copy ~dst:jt.(d) jt.(d - 1);
-            jadd_aff s jt.(d) bx by
-          done));
-  to_affine_batch jt
+(* ---- Signed digits over odd multiples ---- *)
 
-(* MRU cache of per-base affine tables, for long-lived bases (group public
-   keys, DKG share keys). A base's first sighting only records its key; the
-   table is built — and the inversion spent — from the second sighting on,
-   so one-shot bases (shuffle commitments, fresh ciphertext components)
-   cost nothing beyond an O(cap) key scan. Domain-local: each pool worker
-   warms its own copy, so there is no cross-domain sharing to synchronize
-   (systhread interleavings within a domain can at worst waste a rebuild —
-   tables are deterministic in the base). *)
-type base_entry = { key : t; mutable table : t array option }
+let wnaf_width = 5
 
-let base_cache_key : base_entry list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-let base_cache_cap = 16
-
-let cached_table (base : t) : t array option =
-  let base_cache = Domain.DLS.get base_cache_key in
-  let rec extract acc = function
-    | [] -> None
-    | e :: rest when equal e.key base -> Some (e, List.rev_append acc rest)
-    | e :: rest -> extract (e :: acc) rest
-  in
-  match extract [] !base_cache with
-  | Some (e, rest) ->
-      base_cache := e :: rest;
-      let table =
-        match e.table with
-        | Some t -> t
-        | None ->
-            let t = affine_table base in
-            e.table <- Some t;
-            t
-      in
-      Some table
-  | None ->
-      let tail = List.filteri (fun i _ -> i < base_cache_cap - 1) !base_cache in
-      base_cache := { key = base; table = None } :: tail;
-      None
-
-(* dst <- base^e, 4-bit windowed double-and-add over an affine table. *)
-let windowed_into (s : Modarith.S.t) (dst : jp) (tab : t array) (e : Nat.t) : unit =
-  let windows = (Nat.bit_length e + 3) / 4 in
-  jp_set_inf dst;
-  for w = windows - 1 downto 0 do
-    if w <> windows - 1 then begin
-      jdbl s dst;
-      jdbl s dst;
-      jdbl s dst;
-      jdbl s dst
-    end;
-    let d = nibble_of e w in
-    if d <> 0 then
-      match tab.(d - 1) with Inf -> () | Aff (x, y) -> jadd_aff s dst x y
-  done
-
-(* One-shot path: per-call Jacobian table on the arena, no inversion spent
-   on it. *)
-let windowed_oneshot_into (s : Modarith.S.t) (dst : jp) (bx : Modarith.el) (by : Modarith.el)
-    (e : Nat.t) : unit =
-  let m = Modarith.S.mark s in
-  let table = Array.init 16 (fun _ -> jp_take s) in
-  jp_set_aff table.(1) bx by;
-  for i = 2 to 15 do
-    jp_copy ~dst:table.(i) table.(i - 1);
-    jadd_aff s table.(i) bx by
+(* Width-5 wNAF of e: digits dᵢ with Σ dᵢ·2^i = e, each 0 or odd in
+   [−15, 15], at most one nonzero in any 5 consecutive positions — about
+   256/6 additions for a full scalar against 60 for unsigned 4-bit
+   windows. A nonzero digit takes a 5-bit window plus the incoming carry;
+   a window worth 16 or more becomes its negative residue and carries one
+   on. Digits are signed bytes, bit_length + 1 of them (the last takes the
+   final carry): a 257-word int array would be allocated straight into
+   the major heap. *)
+let wnaf (e : Nat.t) : Bytes.t =
+  let len = Nat.bit_length e + 1 in
+  let digits = Bytes.make len '\000' in
+  let i = ref 0 and carry = ref 0 in
+  while !i < len do
+    if Bool.to_int (Nat.test_bit e !i) = !carry then incr i
+    else begin
+      let window = ref 0 in
+      for b = wnaf_width - 1 downto 0 do
+        window := (!window lsl 1) lor Bool.to_int (Nat.test_bit e (!i + b))
+      done;
+      let word = !window + !carry in
+      carry := word lsr (wnaf_width - 1);
+      Bytes.set_int8 digits !i (word - (!carry lsl wnaf_width));
+      i := !i + wnaf_width
+    end
   done;
-  let windows = (Nat.bit_length e + 3) / 4 in
-  jp_set_inf dst;
-  for w = windows - 1 downto 0 do
-    if w <> windows - 1 then begin
-      jdbl s dst;
-      jdbl s dst;
-      jdbl s dst;
-      jdbl s dst
-    end;
-    let d = nibble_of e w in
-    if d <> 0 then jadd s dst table.(d)
+  digits
+
+(* Entries of the odd-multiples table the digits read (entry i is
+   (2i+1)·P). A scalar whose digits are all ±1 — the unit exponents of
+   [Elgamal.combine_pks] — needs P alone and builds no table. *)
+let wnaf_table_size (digits : Bytes.t) : int =
+  let m = ref 0 in
+  for i = 0 to Bytes.length digits - 1 do
+    m := max !m (abs (Bytes.get_int8 digits i))
+  done;
+  (!m + 1) / 2
+
+(* tab.(i) <- (2i+1)·P on the arena: one doubling, one mixed and
+   size − 2 general additions of 2P. tab.(0) is P itself, z = 1. *)
+let odd_multiples (s : Modarith.S.t) (base : t) (size : int) : jp array =
+  let tab = Array.init size (fun _ -> jp_take s) in
+  if size > 0 then jp_of_point tab.(0) base;
+  if size > 1 then begin
+    let m = Modarith.S.mark s in
+    let twice = jp_take s in
+    jp_copy ~dst:twice tab.(0);
+    jdbl s twice;
+    jp_copy ~dst:tab.(1) twice;
+    jadd_aff s tab.(1) tab.(0).x tab.(0).y;
+    for i = 2 to size - 1 do
+      jp_copy ~dst:tab.(i) tab.(i - 1);
+      jadd s tab.(i) twice
+    done;
+    Modarith.S.release s m
+  end;
+  tab
+
+let fzero = Modarith.zero fp
+let p_minus_2 = Nat.sub p Nat.two
+
+(* Bring entries 1.. of every table to z = 1 (entry 0 is the affine base)
+   with Montgomery's simultaneous inversion, inside the session: 3 mults
+   per entry to chain the z's, one Fermat inversion, 4 per entry to
+   unwind. The prefix products take one arena slot per entry. No entry is
+   infinite: (2i+1)·P ≠ O for i < 8 in a group of prime order n > 15. *)
+let normalize (s : Modarith.S.t) (tabs : jp array array) : unit =
+  let m = Modarith.S.mark s in
+  let acc = Modarith.S.take s in
+  Modarith.set_one fp acc;
+  let prefixes = Array.map (fun tab -> Array.make (Array.length tab) fzero) tabs in
+  Array.iteri
+    (fun j tab ->
+      for i = 1 to Array.length tab - 1 do
+        let pre = Modarith.S.take s in
+        Modarith.copy_into ~dst:pre acc;
+        Modarith.S.mul s ~dst:acc acc tab.(i).z;
+        prefixes.(j).(i) <- pre
+      done)
+    tabs;
+  Modarith.S.pow s ~dst:acc acc p_minus_2;
+  let zinv = Modarith.S.take s and zz = Modarith.S.take s in
+  for j = Array.length tabs - 1 downto 0 do
+    let tab = tabs.(j) in
+    for i = Array.length tab - 1 downto 1 do
+      let pt = tab.(i) in
+      Modarith.S.mul s ~dst:zinv acc prefixes.(j).(i);
+      Modarith.S.mul s ~dst:acc acc pt.z;
+      Modarith.S.sqr s ~dst:zz zinv;
+      Modarith.S.mul s ~dst:pt.x pt.x zz;
+      Modarith.S.mul s ~dst:zz zz zinv;
+      Modarith.S.mul s ~dst:pt.y pt.y zz;
+      Modarith.set_one fp pt.z
+    done
   done;
   Modarith.S.release s m
+
+(* acc <- acc + d·P for an odd digit d, from tab.(|d|/2) = |d|·P; a
+   negative digit flips y. Entry 0 is always affine, the rest when the
+   tables were normalized. *)
+let add_digit (s : Modarith.S.t) (acc : jp) (tab : jp array) (d : int) ~(affine : bool) : unit =
+  let pt = tab.(abs d lsr 1) in
+  let m = Modarith.S.mark s in
+  let y =
+    if d > 0 then pt.y
+    else begin
+      let ny = Modarith.S.take s in
+      Modarith.S.sub s ~dst:ny fzero pt.y;
+      ny
+    end
+  in
+  if affine || abs d = 1 then jadd_aff s acc pt.x y else jadd_xyz s acc pt.x y pt.z;
+  Modarith.S.release s m
+
+(* ---- Lim–Lee combs for key bases ----
+
+   Six teeth 43 bits apart cover a 258-bit scalar. Entry b − 1 of a comb
+   is Σ 2^{43t}·P over the set bits t of b (b = 1..63); row i of a
+   scalar reads the entry whose bit t is scalar bit 43t + i, so a full
+   product is 42 doublings and ≤ 43 mixed additions (~800 mults, against
+   ~2,750 for a one-shot wNAF ladder). Building one costs 215 doublings,
+   57 general additions and a batch normalization (~1.1 one-shot [pow]s). *)
+
+let comb_teeth = 6
+let comb_spacing = 43
+
+let key_comb (base : t) : t array =
+  let entries = Array.init ((1 lsl comb_teeth) - 1) (fun _ -> jp_fresh ()) in
+  Modarith.with_session fp (fun s ->
+      let tooth = jp_take s in
+      jp_of_point tooth base;
+      for t = 0 to comb_teeth - 1 do
+        if t > 0 then
+          for _ = 1 to comb_spacing do
+            jdbl s tooth
+          done;
+        let bit = 1 lsl t in
+        jp_copy ~dst:entries.(bit - 1) tooth;
+        for b = bit + 1 to (2 * bit) - 1 do
+          jp_copy ~dst:entries.(b - 1) entries.(b - bit - 1);
+          jadd s entries.(b - 1) tooth
+        done
+      done);
+  to_affine_batch entries
+
+(* acc <- acc + (row i of e's comb read). *)
+let comb_row_add (s : Modarith.S.t) (acc : jp) (comb : t array) (e : Nat.t) (i : int) : unit =
+  let idx = ref 0 in
+  for t = comb_teeth - 1 downto 0 do
+    idx := (!idx lsl 1) lor Bool.to_int (Nat.test_bit e ((t * comb_spacing) + i))
+  done;
+  if !idx <> 0 then
+    match comb.(!idx - 1) with Inf -> () | Aff (x, y) -> jadd_aff s acc x y
+
+(* The key-comb cache: an MRU of [key_comb_cap] combs per domain, each
+   pool worker warming its own (systhread interleavings within a domain
+   can at worst waste a rebuild; combs are deterministic in the base).
+   [pow_batch] builds a missing comb at once. [pow] and small MSMs build
+   one at a base's [key_sightings]-th sighting, counted in a separate
+   bounded list: a comb pays for itself over two uses, a base seen twice
+   (each Y_i of a ReEnc step) never builds one, and a crowd of one-shot
+   bases churns only the counts, never a built comb. *)
+type key_entry = { key : t; comb : t array }
+type sighting = { seen_base : t; mutable seen : int }
+
+let key_comb_cap = 8
+let sightings_cap = 16
+let key_sightings = 3
+let key_combs : key_entry list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+let sightings : sighting list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+
+(* Move the first element satisfying [p] to the front of [l] and return
+   it; a hit at the head leaves the list as it is. *)
+let to_front (p : 'a -> bool) (l : 'a list ref) : 'a option =
+  match !l with
+  | x :: _ when p x -> Some x
+  | xs ->
+      let rec go acc = function
+        | [] -> None
+        | x :: rest when p x ->
+            l := x :: List.rev_append acc rest;
+            Some x
+        | x :: rest -> go (x :: acc) rest
+      in
+      go [] xs
+
+let find_comb (base : t) : t array option =
+  Option.map (fun e -> e.comb) (to_front (fun e -> equal e.key base) (Domain.DLS.get key_combs))
+
+let add_comb (base : t) : t array =
+  let combs = Domain.DLS.get key_combs in
+  let comb = key_comb base in
+  combs := List.filteri (fun i _ -> i < key_comb_cap) ({ key = base; comb } :: !combs);
+  comb
+
+(* Count one sighting of a base without a comb; [true] when it reaches
+   [key_sightings] (its count is dropped then: the comb takes over). *)
+let sighted (base : t) : bool =
+  let seen = Domain.DLS.get sightings in
+  match to_front (fun sg -> equal sg.seen_base base) seen with
+  | Some sg when sg.seen + 1 >= key_sightings ->
+      seen := List.tl !seen;
+      true
+  | Some sg ->
+      sg.seen <- sg.seen + 1;
+      false
+  | None ->
+      seen := List.filteri (fun i _ -> i < sightings_cap) ({ seen_base = base; seen = 1 } :: !seen);
+      false
+
+(* ---- Straus ---- *)
+
+(* One Straus term: wNAF digits over the base's odd multiples, or a cached
+   key's comb, whose rows join the shared doubling chain in its last 43
+   positions. *)
+type term = Wnaf of Bytes.t | Comb of Nat.t * t array
+
+(* Build this many odd-multiples tables and one inversion (~330 mults)
+   pays for itself: each normalized table saves ~140 mults (43 mixed
+   instead of general additions, less 7 mults per entry to normalize). A
+   one-shot [pow] or a 1-base [pow2] keeps Jacobian tables. *)
+let normalize_min = 3
+
+(* Straus over the pair slice [lo, hi): one doubling chain as long as the
+   longest digit string, and per position one addition for each nonzero
+   digit or comb row. [use_cache] lets key bases read (and, at their
+   third sighting, build) a comb. *)
+let msm_straus (bases : t array) (exps : Nat.t array) ~(lo : int) ~(hi : int)
+    ~(use_cache : bool) : jp =
+  let n = hi - lo in
+  let terms =
+    Array.init n (fun j ->
+        let base = bases.(lo + j) and e = exps.(lo + j) in
+        let comb =
+          if not use_cache then None
+          else
+            match find_comb base with
+            | Some c -> Some c
+            | None -> if sighted base then Some (add_comb base) else None
+        in
+        match comb with Some c -> Comb (e, c) | None -> Wnaf (wnaf e))
+  in
+  let acc = jp_fresh () in
+  Modarith.with_session fp (fun s ->
+      let top = ref (-1) and built = ref 0 in
+      let tabs =
+        Array.mapi
+          (fun j term ->
+            match term with
+            | Comb _ ->
+                top := max !top (comb_spacing - 1);
+                [||]
+            | Wnaf digits ->
+                top := max !top (Bytes.length digits - 1);
+                let size = wnaf_table_size digits in
+                if size > 1 then incr built;
+                odd_multiples s bases.(lo + j) size)
+          terms
+      in
+      let affine = !built >= normalize_min in
+      if affine then normalize s tabs;
+      jp_set_inf acc;
+      for i = !top downto 0 do
+        jdbl s acc;
+        for j = 0 to n - 1 do
+          match terms.(j) with
+          | Comb (e, comb) -> if i < comb_spacing then comb_row_add s acc comb e i
+          | Wnaf digits ->
+              if i < Bytes.length digits then begin
+                let d = Bytes.get_int8 digits i in
+                if d <> 0 then add_digit s acc tabs.(j) d ~affine
+              end
+        done
+      done);
+  acc
 
 let pow (base : t) (k : scalar) : t =
   Atom_obs.Opcount.note_pow ();
   let e = Scalar.to_nat k in
   if Nat.is_zero e || is_one base then Inf
   else if equal base generator then comb_point e
-  else begin
-    let r = jp_fresh () in
-    (match (cached_table base, base) with
-    | Some tab, _ -> Modarith.with_session fp (fun s -> windowed_into s r tab e)
-    | None, Aff (bx, by) -> Modarith.with_session fp (fun s -> windowed_oneshot_into s r bx by e)
-    | None, Inf -> assert false);
-    to_affine r
-  end
+  else to_affine (msm_straus [| base |] [| e |] ~lo:0 ~hi:1 ~use_cache:true)
 
 (* ---- Multi-scalar multiplication ---- *)
-
-(* Straus (shared doublings, per-base 4-bit window tables) for small
-   batches, over the pair slice [lo, hi). A pair's window table is either a
-   cached affine table or a per-call Jacobian table on the arena, built
-   only up to the largest nibble the scalar can produce — tiny scalars
-   (e.g. the all-ones MSM of combine_pks) skip table construction
-   entirely. *)
-type straus_tab = T_aff of t array | T_jac of jp array
-
-let msm_straus (bases : t array) (exps : Nat.t array) ~(lo : int) ~(hi : int)
-    ~(use_cache : bool) : jp =
-  let n = hi - lo in
-  let acc = jp_fresh () in
-  Modarith.with_session fp (fun s ->
-      let m0 = Modarith.S.mark s in
-      let max_bits = ref 0 in
-      for i = lo to hi - 1 do
-        max_bits := max !max_bits (Nat.bit_length exps.(i))
-      done;
-      let tabs =
-        Array.init n (fun j ->
-            let i = lo + j in
-            match (if use_cache then cached_table bases.(i) else None) with
-            | Some tab -> T_aff tab
-            | None ->
-                let max_d = if Nat.bit_length exps.(i) > 4 then 15 else Nat.to_int_exn exps.(i) in
-                let table = Array.init (max_d + 1) (fun _ -> jp_take s) in
-                (match bases.(i) with
-                | Inf -> Array.iter jp_set_inf table
-                | Aff (bx, by) ->
-                    if max_d >= 1 then jp_set_aff table.(1) bx by;
-                    for d = 2 to max_d do
-                      jp_copy ~dst:table.(d) table.(d - 1);
-                      jadd_aff s table.(d) bx by
-                    done);
-                T_jac table)
-      in
-      let windows = (!max_bits + 3) / 4 in
-      jp_set_inf acc;
-      for w = windows - 1 downto 0 do
-        if w <> windows - 1 then begin
-          jdbl s acc;
-          jdbl s acc;
-          jdbl s acc;
-          jdbl s acc
-        end;
-        for j = 0 to n - 1 do
-          let d = nibble_of exps.(lo + j) w in
-          if d <> 0 then
-            match tabs.(j) with
-            | T_aff tab -> (
-                match tab.(d - 1) with Inf -> () | Aff (x, y) -> jadd_aff s acc x y)
-            | T_jac table -> jadd s acc table.(d)
-        done
-      done;
-      Modarith.S.release s m0);
-  acc
 
 (* Pippenger bucket method for large batches: per window, drop each point
    into the bucket of its digit, then aggregate buckets with two running
@@ -626,9 +758,10 @@ let msm_pool_threshold = 64
 
 let msm_raw ?pool (pairs : (t * scalar) array) : t =
   (* Generator terms collapse into a single comb exponent (g^a·g^b = g^{a+b});
-     identity bases and zero scalars drop out. The cache is consulted only
-     for small MSMs — flooding it with a shuffle-sized batch of one-shot
-     bases would evict the long-lived public keys. *)
+     identity bases and zero scalars drop out. Key combs are consulted only
+     for small MSMs (the shape of a sigma-proof check): a shuffle-sized
+     batch's bases are one-shot, and counting their sightings would only
+     push the keys' counts out of the list. *)
   let gen_k = ref Scalar.zero in
   let rest = ref [] in
   Array.iter
@@ -647,8 +780,8 @@ let msm_raw ?pool (pairs : (t * scalar) array) : t =
       else begin
         match Atom_exec.Pool.resolve pool with
         | Some pl when n >= msm_pool_threshold && Atom_exec.Pool.size pl > 1 ->
-            (* The cache is never consulted here: it only applies to MSMs
-               of <= 8 pairs, far below the pooling threshold. *)
+            (* Key combs are never consulted here: they only apply to
+               MSMs of <= 8 pairs, far below the pooling threshold. *)
             Some (msm_straus_pooled pl bases exps)
         | _ -> Some (msm_straus bases exps ~lo:0 ~hi:n ~use_cache:(Array.length pairs <= 8))
       end
@@ -681,8 +814,9 @@ let pow2 (a : t) (j : scalar) (b : t) (k : scalar) : t =
    The per-scalar ladders are independent and go to the pool, each worker
    running in its own session on its own arena; the single shared
    normalization inversion stays on the caller. Any table the ladders read
-   (the comb table, a per-base affine table) is built on the caller before
-   the parallel region and only read inside it. *)
+   (the generator's comb, a key base's Lim–Lee comb, built here on first
+   use) is built on the caller before the parallel region and only read
+   inside it. *)
 
 let pow_gen_batch_raw ?pool (ks : scalar array) : t array =
   ignore (Atom_exec.Once.get gen_table);
@@ -706,14 +840,19 @@ let pow_batch ?pool (base : t) (ks : scalar array) : t array =
   else if is_one base then Array.map (fun _ -> Inf) ks
   else if equal base generator then pow_gen_batch_raw ?pool ks
   else begin
-    let tab = match cached_table base with Some t -> t | None -> affine_table base in
+    let comb = match find_comb base with Some c -> c | None -> add_comb base in
     to_affine_batch
       (Atom_exec.Pool.map ?pool
          (fun k ->
            let e = Scalar.to_nat k in
            let r = jp_fresh () in
-           if Nat.is_zero e then jp_set_inf r
-           else Modarith.with_session fp (fun s -> windowed_into s r tab e);
+           jp_set_inf r;
+           if not (Nat.is_zero e) then
+             Modarith.with_session fp (fun s ->
+                 for i = comb_spacing - 1 downto 0 do
+                   jdbl s r;
+                   comb_row_add s r comb e i
+                 done);
            r)
          ks)
   end

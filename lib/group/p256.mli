@@ -3,8 +3,9 @@
     The full {!Group_intf.GROUP} surface — including the [?pool]-taking
     multi-exponentiation batch entry points — plus the handful of
     curve-level hooks the known-answer tests inspect. Everything else
-    (Jacobian internals, comb and window tables, the Straus/Pippenger
-    engines) is private to the implementation. *)
+    (Jacobian internals, the generator's comb, wNAF odd-multiples tables
+    and key-base Lim–Lee combs, the Straus/Pippenger engines) is private
+    to the implementation. Scalar multiplication is variable time. *)
 
 open Atom_nat
 

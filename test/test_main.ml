@@ -7,6 +7,7 @@ let () =
       Test_cipher.suite;
       Test_group.suite ();
       Test_fastpath.suite ();
+      Test_fastpath.alloc_suite;
       Test_elgamal.suite ();
       Test_zkp.suite ();
       Test_zkp.suite_p256 ();
